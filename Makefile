@@ -26,13 +26,19 @@ bench:
 	$(GO) run ./cmd/benchjson -in bench.out -out BENCH.json -history BENCH_history.jsonl
 
 # Short smoke runs of the native fuzzers: the capture readers must never
-# panic on corrupt pcap/ZEP input, and the streaming receiver must decode
-# byte-identically for any fuzzed chunking of a capture.
+# panic on corrupt pcap/ZEP input, the streaming receiver must decode
+# byte-identically for any fuzzed chunking of a capture, and the 802.15.4
+# and 6LoWPAN parsers must reject hostile input without panicking.
 fuzz:
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzPCAPRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzZEPDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStreamChunks -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment/runner -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParseMACFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParsePPDU -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzOpenFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
 
 # The concurrent per-channel streaming test under the race detector:
 # many RxStreams plus whole-capture calls sharing one Receiver/registry.
@@ -89,8 +95,8 @@ smoke-sim:
 	./scripts/smoke-sim.sh
 
 # End-to-end campaign smoke: two attack scenarios (plus the benign
-# baseline) at 20 trials per cell through wazabeecampaign, asserting the
-# ROC matrix digest matches the pinned value at two worker counts.
+# baseline) at 20 trials per scenario through wazabeecampaign, asserting
+# the ROC matrix digest matches the pinned value at two worker counts.
 campaign-smoke:
 	./scripts/smoke-campaign.sh
 

@@ -1,9 +1,11 @@
 // wazabeecampaign runs the attack/defense campaign engine from the
 // command line: every selected scenario from the internal/campaign
-// catalogue crossed with every IDS threshold, each cell a deterministic
-// Monte-Carlo point, reduced into an attack-vs-detection ROC matrix with
-// Wilson confidence intervals plus per-scenario impact averages. The
-// same seed reproduces the matrix byte for byte at any -workers.
+// catalogue is run -trials times as one deterministic Monte-Carlo point,
+// and each run is scored once at every IDS threshold. Those same runs
+// yield the attack-vs-detection ROC matrix (one cell per scenario and
+// threshold, with Wilson confidence intervals) and the per-scenario
+// impact averages. The same seed reproduces the matrix byte for byte at
+// any -workers.
 //
 //	wazabeecampaign -scenarios all -trials 200 -fidelity frame
 //	wazabeecampaign -scenarios scenario-a-injection,benign-baseline -trials 50 -out roc.json
@@ -39,7 +41,6 @@ type config struct {
 	devices    int
 	snrDB      float64
 	chip       string
-	impact     int
 	checkpoint string
 	digest     bool
 	list       bool
@@ -55,7 +56,7 @@ func main() {
 
 func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.StringVar(&cfg.scenarios, "scenarios", "all", "comma-separated scenario names, or \"all\" (see -list)")
-	fs.IntVar(&cfg.trials, "trials", campaign.DefaultTrials, "Monte-Carlo trials per (scenario, threshold) cell")
+	fs.IntVar(&cfg.trials, "trials", campaign.DefaultTrials, "Monte-Carlo trials per scenario, each scored at every threshold")
 	fs.StringVar(&cfg.fidelity, "fidelity", "frame", "mesh delivery tier: frame or symbol")
 	fs.IntVar(&cfg.workers, "workers", 0, "runner worker pool; 0 means GOMAXPROCS (any value yields the identical matrix)")
 	fs.StringVar(&cfg.out, "out", "", "write the matrix JSON here (empty skips it)")
@@ -66,7 +67,6 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.IntVar(&cfg.devices, "devices", 0, "end devices in the victim star mesh (0 selects the default)")
 	fs.Float64Var(&cfg.snrDB, "snr", 0, "victim link SNR in dB (0 selects the default)")
 	fs.StringVar(&cfg.chip, "chip", "", "energy-accountant profile: cc2652 or nrf52840 (empty selects cc2652)")
-	fs.IntVar(&cfg.impact, "impact", 0, "serial impact samples per scenario (0 selects the default)")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "resume file for the Monte-Carlo sweep (empty disables)")
 	fs.BoolVar(&cfg.digest, "digest", true, "print the matrix sha256 digest (the cross-machine regression oracle)")
 	fs.BoolVar(&cfg.list, "list", false, "list the scenario catalogue and exit")
@@ -141,19 +141,18 @@ func run(args []string, out, errOut io.Writer) error {
 
 	start := time.Now()
 	matrix, err := campaign.RunMatrix(ctx, campaign.MatrixSpec{
-		Scenarios:     scenarios,
-		Thresholds:    thresholds,
-		Trials:        cfg.trials,
-		Seed:          cfg.seed,
-		Workers:       cfg.workers,
-		Fidelity:      fid,
-		SNRdB:         cfg.snrDB,
-		Duration:      cfg.duration,
-		Devices:       cfg.devices,
-		Chip:          cfg.chip,
-		ImpactSamples: cfg.impact,
-		Checkpoint:    cfg.checkpoint,
-		Obs:           obs.NewRegistry(),
+		Scenarios:  scenarios,
+		Thresholds: thresholds,
+		Trials:     cfg.trials,
+		Seed:       cfg.seed,
+		Workers:    cfg.workers,
+		Fidelity:   fid,
+		SNRdB:      cfg.snrDB,
+		Duration:   cfg.duration,
+		Devices:    cfg.devices,
+		Chip:       cfg.chip,
+		Checkpoint: cfg.checkpoint,
+		Obs:        obs.NewRegistry(),
 	})
 	if err != nil {
 		return err
@@ -192,9 +191,8 @@ func run(args []string, out, errOut io.Writer) error {
 			return err
 		}
 	}
-	cells := len(matrix.Cells)
-	fmt.Fprintf(errOut, "wazabeecampaign: %d cells x %d trials in %v\n",
-		cells, cfg.trials, wall.Round(time.Millisecond))
+	fmt.Fprintf(errOut, "wazabeecampaign: %d scenarios x %d trials scored into %d cells in %v\n",
+		len(matrix.Scenarios), cfg.trials, len(matrix.Cells), wall.Round(time.Millisecond))
 	if cfg.digest {
 		fmt.Fprintf(out, "digest sha256:%s\n", matrix.Digest())
 	}

@@ -24,6 +24,7 @@ import (
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/radio"
+	"wazabee/internal/splitmix"
 	"wazabee/internal/zigbee"
 )
 
@@ -359,14 +360,9 @@ func smoothProfile(p *radio.CalProfile) {
 // mixSeed folds calibration coordinates into one well-mixed seed with
 // the SplitMix64 finaliser chain (the repo-wide seed discipline).
 func mixSeed(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
+	h := uint64(splitmix.Gamma)
 	for _, v := range vals {
-		h ^= v
-		h += 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
+		h = splitmix.Mix(h ^ v)
 	}
 	return h
 }
-

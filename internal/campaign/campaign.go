@@ -2,9 +2,10 @@
 // of attack scenarios executed against internal/zigbee/sim meshes, each
 // scored into a structured Outcome (detection latency, frames injected
 // and accepted, energy drained, nodes disrupted), and a Monte-Carlo
-// driver that sweeps every (scenario, IDS-threshold) cell on
-// internal/experiment/runner to produce an attack-vs-detection ROC
-// matrix with Wilson confidence intervals.
+// driver that runs every scenario's trials once on
+// internal/experiment/runner and derives an attack-vs-detection ROC
+// matrix with Wilson confidence intervals at every IDS threshold from
+// those same trials.
 //
 // The paper's scenarios A (frame injection) and B (channel-migration
 // denial of service) are two points of the catalogue; the
@@ -55,9 +56,6 @@ type Options struct {
 	// Fidelity is the mesh delivery tier (symbol or frame; zero selects
 	// frame, the cheap tier campaigns sweep on).
 	Fidelity radio.Fidelity
-	// Threshold is the IDS soft-EVM decision threshold; zero selects
-	// ids.DefaultFingerprintThreshold.
-	Threshold float64
 	// SNRdB is the victim link budget; zero selects DefaultSNRdB.
 	SNRdB float64
 	// Duration is the virtual time simulated; zero selects the
@@ -74,9 +72,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Fidelity == 0 {
 		o.Fidelity = radio.FidelityFrame
-	}
-	if o.Threshold == 0 {
-		o.Threshold = ids.DefaultFingerprintThreshold
 	}
 	if o.SNRdB == 0 {
 		o.SNRdB = DefaultSNRdB
@@ -99,7 +94,9 @@ type Outcome struct {
 
 	// Detected reports whether any detector fired during the attack
 	// window (for the benign baseline: at all — every benign alert is a
-	// false positive).
+	// false positive). It and the other detection fields below report
+	// the IDS at ids.DefaultFingerprintThreshold; Score derives them at
+	// any other threshold.
 	Detected bool `json:"detected"`
 	// DetectionLatency is the virtual time from attack start to the
 	// first in-window alert; -1 when undetected.
@@ -143,7 +140,63 @@ type Outcome struct {
 	// energy-depletion scenario family (0 elsewhere).
 	EnergyMicrojoules        float64 `json:"energy_microjoules"`
 	EnergyDrainedMicrojoules float64 `json:"energy_drained_microjoules"`
+
+	// Score is the run's threshold-free detection record.
+	Score TrialScore `json:"score"`
 }
+
+// TrialScore is one run's detection record before any threshold is
+// applied: enough to say, for every IDS threshold, which detectors
+// fired inside the attack window and when. Times are measured from the
+// window start (attack start; run start for the benign baseline).
+type TrialScore struct {
+	// EVMRises traces the running maximum of the in-window soft-EVM
+	// statistic: one entry per frame that raised it, in time order, so
+	// the last entry holds the in-window maximum.
+	EVMRises []EVMRise `json:"evm_rises,omitempty"`
+	// FramingAt is when BLE framing was first spotted inside the
+	// window; -1 when never.
+	FramingAt time.Duration `json:"framing_at_ns"`
+}
+
+// EVMRise is one frame that raised the in-window soft-EVM maximum.
+type EVMRise struct {
+	At  time.Duration `json:"at_ns"`
+	EVM float64       `json:"evm"`
+}
+
+// Detection is what the IDS reports for one run at one threshold.
+type Detection struct {
+	// Fingerprint and Framing report which detectors fired in the window.
+	Fingerprint, Framing bool
+	// Latency runs from the window start to the first in-window alert;
+	// -1 when undetected.
+	Latency time.Duration
+	// First is the kind of that first alert; "" when undetected.
+	First string
+}
+
+// At derives the detection record at threshold. The first rise above
+// the threshold is the first in-window frame the fingerprint detector
+// flags; when it and the first framing sighting are the same frame, the
+// fingerprint alert comes first, as in the monitor's alert order.
+func (s *TrialScore) At(threshold float64) Detection {
+	d := Detection{Framing: s.FramingAt >= 0, Latency: -1}
+	for _, r := range s.EVMRises {
+		if ids.FingerprintFires(r.EVM, threshold) {
+			d.Fingerprint = true
+			d.Latency, d.First = r.At, ids.AlertModulationFingerprint.String()
+			break
+		}
+	}
+	if d.Framing && (d.Latency < 0 || s.FramingAt < d.Latency) {
+		d.Latency, d.First = s.FramingAt, ids.AlertBLEFraming.String()
+	}
+	return d
+}
+
+// Detected reports whether any detector fired.
+func (d Detection) Detected() bool { return d.Fingerprint || d.Framing }
 
 // Scenario is one catalogue entry: a named, repeatable attack (or the
 // benign baseline) that can be instantiated onto a fresh mesh at a

@@ -4,8 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"wazabee/internal/experiment/runner"
+	"wazabee/internal/obs"
 )
 
 // runScenario executes one catalogue scenario and returns its Outcome.
@@ -26,17 +34,18 @@ func runScenario(t *testing.T, name string, opts Options) Outcome {
 }
 
 // goldenSeed1 pins every scenario's full Outcome at seed 1 and default
-// options. A diff here means the campaign's deterministic contract (or
+// options, including the threshold-free score behind the detection
+// fields. A diff here means the campaign's deterministic contract (or
 // the mesh, monitor or energy model underneath it) changed — update the
 // strings only for an intended behavior change.
 var goldenSeed1 = map[string]string{
-	"benign-baseline":      `{"scenario":"benign-baseline","seed":1,"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false,"alert_frames":0,"frames_injected":0,"frames_accepted":0,"nodes_disrupted":0,"channel_migrations":0,"readings":57,"energy_microjoules":3104770.1184,"energy_drained_microjoules":0}`,
-	"scenario-a-injection": `{"scenario":"scenario-a-injection","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":true,"alert_frames":40,"alerts":{"ble-framing":26,"modulation-fingerprint":40},"frames_injected":40,"frames_accepted":40,"nodes_disrupted":0,"channel_migrations":0,"readings":97,"energy_microjoules":3104701.7664,"energy_drained_microjoules":0}`,
-	"channel-migration":    `{"scenario":"channel-migration","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":4,"alerts":{"modulation-fingerprint":4},"frames_injected":4,"frames_accepted":4,"nodes_disrupted":4,"channel_migrations":4,"readings":17,"energy_microjoules":3104879.4816000005,"energy_drained_microjoules":0}`,
-	"association-flood":    `{"scenario":"association-flood","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":189,"alerts":{"modulation-fingerprint":189},"frames_injected":190,"frames_accepted":190,"nodes_disrupted":0,"channel_migrations":0,"readings":57,"energy_microjoules":3103438.5984,"energy_drained_microjoules":0}`,
-	"energy-depletion":     `{"scenario":"energy-depletion","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":330,"alerts":{"modulation-fingerprint":330},"frames_injected":334,"frames_accepted":330,"nodes_disrupted":0,"channel_migrations":0,"readings":58,"energy_microjoules":3104199.2064,"energy_drained_microjoules":10905.830399999999}`,
-	"sleep-deprivation":    `{"scenario":"sleep-deprivation","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":165,"alerts":{"modulation-fingerprint":165},"frames_injected":167,"frames_accepted":165,"nodes_disrupted":0,"channel_migrations":0,"readings":222,"energy_microjoules":3103984.9728000006,"energy_drained_microjoules":12139.603200000003}`,
-	"replay-impersonation": `{"scenario":"replay-impersonation","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":40,"alerts":{"modulation-fingerprint":40},"frames_injected":40,"frames_accepted":40,"nodes_disrupted":0,"channel_migrations":0,"readings":97,"energy_microjoules":3104701.7664,"energy_drained_microjoules":0}`,
+	"benign-baseline":      `{"scenario":"benign-baseline","seed":1,"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false,"alert_frames":0,"frames_injected":0,"frames_accepted":0,"nodes_disrupted":0,"channel_migrations":0,"readings":57,"energy_microjoules":3104770.1184,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":232999978,"evm":0.06849590091943757},{"at_ns":941722209,"evm":0.11825750906540415},{"at_ns":943706209,"evm":0.13044848428124023},{"at_ns":1079361058,"evm":0.13102276525956552},{"at_ns":1081626209,"evm":0.13471398925304134},{"at_ns":1085226209,"evm":0.13687294636266759},{"at_ns":1216737058,"evm":0.14327848390962955},{"at_ns":1220465058,"evm":0.16624470991607737},{"at_ns":1706548886,"evm":0.1731566629009191},{"at_ns":21339188430,"evm":0.1750084689479996}],"framing_at_ns":-1}}`,
+	"scenario-a-injection": `{"scenario":"scenario-a-injection","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":true,"alert_frames":40,"alerts":{"ble-framing":26,"modulation-fingerprint":40},"frames_injected":40,"frames_accepted":40,"nodes_disrupted":0,"channel_migrations":0,"readings":97,"energy_microjoules":3104701.7664,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257},{"at_ns":1000000000,"evm":0.4416253159179422},{"at_ns":10500000000,"evm":0.4424411112598284},{"at_ns":17500000000,"evm":0.4463158327724851}],"framing_at_ns":0}}`,
+	"channel-migration":    `{"scenario":"channel-migration","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":4,"alerts":{"modulation-fingerprint":4},"frames_injected":4,"frames_accepted":4,"nodes_disrupted":4,"channel_migrations":4,"readings":17,"energy_microjoules":3104879.4816000005,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257}],"framing_at_ns":-1}}`,
+	"association-flood":    `{"scenario":"association-flood","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":189,"alerts":{"modulation-fingerprint":189},"frames_injected":190,"frames_accepted":190,"nodes_disrupted":0,"channel_migrations":0,"readings":57,"energy_microjoules":3103438.5984,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.3118363686302138},{"at_ns":150000000,"evm":0.43851746460873314},{"at_ns":1050000000,"evm":0.4416253159179422},{"at_ns":2850000000,"evm":0.4424411112598284},{"at_ns":5400000000,"evm":0.4432207237527652},{"at_ns":8400000000,"evm":0.45746289025700526},{"at_ns":19350000000,"evm":0.467362592731815},{"at_ns":19800000000,"evm":0.4736558827807848},{"at_ns":25200000000,"evm":0.4776166991865076}],"framing_at_ns":-1}}`,
+	"energy-depletion":     `{"scenario":"energy-depletion","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":330,"alerts":{"modulation-fingerprint":330},"frames_injected":334,"frames_accepted":330,"nodes_disrupted":0,"channel_migrations":0,"readings":58,"energy_microjoules":3104199.2064,"energy_drained_microjoules":10905.830399999999,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257},{"at_ns":180000000,"evm":0.45041558833700285},{"at_ns":300000000,"evm":0.4884475017512429}],"framing_at_ns":-1}}`,
+	"sleep-deprivation":    `{"scenario":"sleep-deprivation","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":165,"alerts":{"modulation-fingerprint":165},"frames_injected":167,"frames_accepted":165,"nodes_disrupted":0,"channel_migrations":0,"readings":222,"energy_microjoules":3103984.9728000006,"energy_drained_microjoules":12139.603200000003,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257},{"at_ns":240000000,"evm":0.4416253159179422},{"at_ns":6480000000,"evm":0.44775657098951493},{"at_ns":9240000000,"evm":0.4633495256400797}],"framing_at_ns":-1}}`,
+	"replay-impersonation": `{"scenario":"replay-impersonation","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":40,"alerts":{"modulation-fingerprint":40},"frames_injected":40,"frames_accepted":40,"nodes_disrupted":0,"channel_migrations":0,"readings":97,"energy_microjoules":3104701.7664,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257},{"at_ns":1000000000,"evm":0.4416253159179422},{"at_ns":10500000000,"evm":0.4424411112598284},{"at_ns":17500000000,"evm":0.4463158327724851}],"framing_at_ns":-1}}`,
 }
 
 func TestScenarioGoldenOutcomes(t *testing.T) {
@@ -140,11 +149,10 @@ func TestMatrixWorkerCountIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := MatrixSpec{
-		Scenarios:     []Scenario{sc},
-		Thresholds:    []float64{0.27, 0.45},
-		Trials:        20,
-		Seed:          11,
-		ImpactSamples: 1,
+		Scenarios:  []Scenario{sc},
+		Thresholds: []float64{0.22, 0.27, 0.45},
+		Trials:     20,
+		Seed:       11,
 	}
 	var digests []string
 	var jsons [][]byte
@@ -155,6 +163,7 @@ func TestMatrixWorkerCountIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkROCMonotone(t, m)
 		var buf bytes.Buffer
 		if err := m.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -170,20 +179,50 @@ func TestMatrixWorkerCountIndependence(t *testing.T) {
 	}
 }
 
+// checkROCMonotone requires every scenario's fingerprint and any-detector
+// counts to be non-increasing in the threshold: all thresholds score the
+// same trials, so raising it can only silence alerts.
+func checkROCMonotone(t *testing.T, m *Matrix) {
+	t.Helper()
+	for _, name := range m.Scenarios {
+		for i := 1; i < len(m.Thresholds); i++ {
+			lo, _ := m.Cell(name, m.Thresholds[i-1])
+			hi, _ := m.Cell(name, m.Thresholds[i])
+			if m.Thresholds[i] <= m.Thresholds[i-1] {
+				t.Fatalf("thresholds %v not ascending", m.Thresholds)
+			}
+			for _, det := range []string{DetectorFingerprint, DetectorAny} {
+				a, _ := lo.ROC(det)
+				b, _ := hi.ROC(det)
+				if b.Count > a.Count {
+					t.Errorf("%s %s: %d detections at %g rise to %d at %g",
+						name, det, a.Count, m.Thresholds[i-1], b.Count, m.Thresholds[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMatrixShape(t *testing.T) {
 	sc, err := ByName("channel-migration")
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	m, err := RunMatrix(context.Background(), MatrixSpec{
-		Scenarios:     []Scenario{sc},
-		Thresholds:    []float64{0.27},
-		Trials:        5,
-		Seed:          4,
-		ImpactSamples: 1,
+		Scenarios:  []Scenario{sc},
+		Thresholds: []float64{0.27},
+		Trials:     5,
+		Seed:       4,
+		Obs:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One mesh run per (scenario, trial): the cells and the impact table
+	// are all derived from those runs.
+	if got := reg.Counter(TrialsMetric).Value(); got != 2*5 {
+		t.Errorf("%s = %d, want scenarios x trials = 10", TrialsMetric, got)
 	}
 	// The benign baseline rides along for the FPR column.
 	if len(m.Scenarios) != 2 || m.Scenarios[0] != "benign-baseline" {
@@ -280,8 +319,8 @@ func TestOutcomeClassMapping(t *testing.T) {
 		{true, true, ClassBoth},
 	}
 	for _, tc := range cases {
-		o := Outcome{FingerprintDetected: tc.fp, FramingDetected: tc.fr}
-		if got := o.class(); got != tc.want {
+		d := Detection{Fingerprint: tc.fp, Framing: tc.fr}
+		if got := d.class(); got != tc.want {
 			t.Errorf("class(fp=%v, fr=%v) = %s, want %s", tc.fp, tc.fr, got, tc.want)
 		}
 	}
@@ -291,4 +330,156 @@ func TestMatrixSpecValidation(t *testing.T) {
 	if _, err := RunMatrix(context.Background(), MatrixSpec{Thresholds: []float64{-0.1}}); err == nil {
 		t.Error("negative threshold accepted")
 	}
+}
+
+// goldenDetectionAt pins each scenario's detection fields at seed 1 under
+// two non-default thresholds, as recorded when every threshold still
+// re-ran the mesh with the monitor set to it. Deriving the same fields
+// from one run's threshold-free score must reproduce them exactly.
+var goldenDetectionAt = map[float64]map[string]string{
+	0.22: {
+		"benign-baseline":      `{"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false}`,
+		"scenario-a-injection": `{"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":true}`,
+		"channel-migration":    `{"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"association-flood":    `{"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"energy-depletion":     `{"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"sleep-deprivation":    `{"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"replay-impersonation": `{"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+	},
+	0.45: {
+		"benign-baseline":      `{"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false}`,
+		"scenario-a-injection": `{"detected":true,"detection_latency_ns":0,"first_alert":"ble-framing","fingerprint_detected":false,"framing_detected":true}`,
+		"channel-migration":    `{"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false}`,
+		"association-flood":    `{"detected":true,"detection_latency_ns":8400000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"energy-depletion":     `{"detected":true,"detection_latency_ns":180000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"sleep-deprivation":    `{"detected":true,"detection_latency_ns":9240000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"replay-impersonation": `{"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false}`,
+	},
+}
+
+func TestDerivedDetectionMatchesPerThresholdRuns(t *testing.T) {
+	type fields struct {
+		Detected            bool          `json:"detected"`
+		DetectionLatency    time.Duration `json:"detection_latency_ns"`
+		FirstAlert          string        `json:"first_alert,omitempty"`
+		FingerprintDetected bool          `json:"fingerprint_detected"`
+		FramingDetected     bool          `json:"framing_detected"`
+	}
+	for _, sc := range Catalogue() {
+		out := runScenario(t, sc.Name(), Options{Seed: 1})
+		for th, golden := range goldenDetectionAt {
+			d := out.Score.At(th)
+			got, err := json.Marshal(fields{d.Detected(), d.Latency, d.First, d.Fingerprint, d.Framing})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := golden[sc.Name()]; string(got) != want {
+				t.Errorf("%s at %.2f:\n got: %s\nwant: %s", sc.Name(), th, got, want)
+			}
+		}
+	}
+}
+
+func TestTrialScoreAt(t *testing.T) {
+	const ms = time.Millisecond
+	rising := TrialScore{
+		EVMRises:  []EVMRise{{At: 0, EVM: 0.10}, {At: 40 * ms, EVM: 0.27}, {At: 90 * ms, EVM: 0.31}, {At: 700 * ms, EVM: 0.52}},
+		FramingAt: -1,
+	}
+	framingOnly := TrialScore{EVMRises: []EVMRise{{At: 0, EVM: 0.12}}, FramingAt: 300 * ms}
+	cases := []struct {
+		name  string
+		score TrialScore
+		th    float64
+		want  Detection
+	}{
+		// The rule is strict: an EVM exactly at the threshold does not
+		// fire, so the first alert is the next, higher rise.
+		{"at threshold does not fire", rising, 0.27, Detection{Fingerprint: true, Latency: 90 * ms, First: "modulation-fingerprint"}},
+		{"latency is the first frame above", rising, 0.2, Detection{Fingerprint: true, Latency: 40 * ms, First: "modulation-fingerprint"}},
+		{"max exactly at threshold", rising, 0.52, Detection{Latency: -1}},
+		{"framing only", framingOnly, 0.27, Detection{Framing: true, Latency: 300 * ms, First: "ble-framing"}},
+		{"framing beats a later fingerprint", TrialScore{EVMRises: rising.EVMRises, FramingAt: 50 * ms}, 0.4,
+			Detection{Fingerprint: true, Framing: true, Latency: 50 * ms, First: "ble-framing"}},
+		{"same frame: fingerprint first", TrialScore{EVMRises: rising.EVMRises, FramingAt: 40 * ms}, 0.2,
+			Detection{Fingerprint: true, Framing: true, Latency: 40 * ms, First: "modulation-fingerprint"}},
+		{"nothing in the window", TrialScore{FramingAt: -1}, 0.01, Detection{Latency: -1}},
+	}
+	for _, tc := range cases {
+		if got := tc.score.At(tc.th); got != tc.want {
+			t.Errorf("%s: At(%g) = %+v, want %+v", tc.name, tc.th, got, tc.want)
+		}
+	}
+	if rising.At(0.27).Detected() != true || framingOnly.At(0.27).class() != ClassFraming {
+		t.Error("Detected/class disagree with the derived detectors")
+	}
+}
+
+// TestMatrixCheckpointResume cancels a checkpointed sweep part-way,
+// checks the file is refused under another threshold list, then resumes
+// it and requires the uninterrupted run's digest.
+func TestMatrixCheckpointResume(t *testing.T) {
+	sc, err := ByName("channel-migration")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := MatrixSpec{
+		Scenarios:  []Scenario{sc},
+		Thresholds: []float64{0.27, 0.45},
+		Trials:     20,
+		Seed:       5,
+		Workers:    1,
+		Obs:        obs.NewRegistry(),
+	}
+	want, err := RunMatrix(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec.Checkpoint = filepath.Join(t.TempDir(), "campaign.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	interrupted := spec
+	interrupted.Scenarios = []Scenario{cancelAfter{Scenario: sc, n: new(atomic.Int32), after: 18, cancel: cancel}}
+	if _, err := RunMatrix(ctx, interrupted); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if _, err := os.Stat(spec.Checkpoint); err != nil {
+		t.Fatalf("no checkpoint after cancellation: %v", err)
+	}
+
+	other := spec
+	other.Thresholds = []float64{0.27, 0.5}
+	if _, err := RunMatrix(context.Background(), other); err == nil || !strings.Contains(err.Error(), "different run") {
+		t.Fatalf("checkpoint accepted under another threshold list: %v", err)
+	}
+
+	resumed := obs.NewRegistry()
+	spec.Obs = resumed
+	got, err := RunMatrix(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Counter(runner.ShardsMetric, "spec", "campaign", "state", "restored").Value() == 0 {
+		t.Error("resume restored no shards from the checkpoint")
+	}
+	if got.Digest() != want.Digest() {
+		t.Errorf("resumed digest %s, uninterrupted %s", got.Digest(), want.Digest())
+	}
+}
+
+// cancelAfter wraps a scenario and cancels the sweep's context once it
+// has set up `after` instances.
+type cancelAfter struct {
+	Scenario
+	n      *atomic.Int32
+	after  int32
+	cancel context.CancelFunc
+}
+
+func (c cancelAfter) Setup(opts Options) (Instance, error) {
+	if c.n.Add(1) == c.after {
+		c.cancel()
+	}
+	return c.Scenario.Setup(opts)
 }

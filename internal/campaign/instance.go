@@ -8,6 +8,7 @@ import (
 	"wazabee/internal/ids"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
+	"wazabee/internal/splitmix"
 	"wazabee/internal/zigbee/sim"
 )
 
@@ -33,15 +34,6 @@ const (
 	framingDetectProb = 0.7
 )
 
-// splitmix64 is the SplitMix64 finaliser, mirrored from the simulator's
-// seed discipline so the campaign's draws stay structured the same way.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // evmModel draws per-frame monitor features. Draws are keyed on the
 // global capture sequence number — deterministic and batch-order
 // independent — never on shared stream state.
@@ -54,10 +46,10 @@ type evmModel struct {
 // appropriate calibrated distribution, and whether BLE framing was
 // spotted (only ever true for attacker frames that carry it).
 func (m *evmModel) draw(seq uint64, diverted, framed bool) (evm float64, framingSeen bool) {
-	h := splitmix64(uint64(m.seed) ^ 0xca3afee1)
-	h = splitmix64(h ^ seq)
+	h := splitmix.Mix(uint64(m.seed) ^ 0xca3afee1)
+	h = splitmix.Mix(h ^ seq)
 	if diverted {
-		h = splitmix64(h ^ 0x5eed)
+		h = splitmix.Mix(h ^ 0x5eed)
 	}
 	rng := rand.New(rand.NewSource(int64(h)))
 	mean, sigma := nativeEVMMean, nativeEVMSigma
@@ -88,22 +80,19 @@ type instance struct {
 	sc   *scenario
 	opts Options
 
-	nw   *sim.Network
-	base *sim.Network // attack-free twin (nil unless sc.energyTwin)
-	intr *sim.Intruder
-	mon  *ids.FrameMonitor
+	nw    *sim.Network
+	base  *sim.Network // attack-free twin (nil unless sc.energyTwin)
+	intr  *sim.Intruder
+	mon   *ids.FrameMonitor
 	model evmModel
 
 	duration    time.Duration
 	attackStart time.Duration
 
 	// detection record, mutated by the tap on the event loop.
-	firstAlertAt   time.Duration
-	firstAlertKind string
-	alertFrames    int
-	alerts         map[string]int
-	fingerprint    bool // fired inside the attack window
-	framing        bool
+	score       TrialScore
+	alertFrames int
+	alerts      map[string]int
 
 	replayPSDU []byte // replay scenario: first legit data frame captured
 
@@ -116,13 +105,13 @@ type instance struct {
 func newInstance(sc *scenario, opts Options) (*instance, error) {
 	opts.fill()
 	it := &instance{
-		sc:           sc,
-		opts:         opts,
-		model:        evmModel{seed: opts.Seed, snrDB: opts.SNRdB},
-		duration:     opts.Duration,
-		attackStart:  sc.attackStart,
-		firstAlertAt: -1,
-		alerts:       map[string]int{},
+		sc:          sc,
+		opts:        opts,
+		model:       evmModel{seed: opts.Seed, snrDB: opts.SNRdB},
+		duration:    opts.Duration,
+		attackStart: sc.attackStart,
+		score:       TrialScore{FramingAt: -1},
+		alerts:      map[string]int{},
 	}
 	if it.attackStart <= 0 {
 		it.attackStart = DefaultAttackStart
@@ -143,11 +132,8 @@ func newInstance(sc *scenario, opts Options) (*instance, error) {
 		return nil, err
 	}
 	it.nw = nw
-	it.mon = &ids.FrameMonitor{
-		FingerprintThreshold: opts.Threshold,
-		ChannelExpected:      true,
-		Obs:                  cfg.Registry,
-	}
+	it.mon = ids.NewFrameMonitor()
+	it.mon.Obs = cfg.Registry
 	nw.Tap(sim.DefaultChannel, it.inspect)
 
 	if sc.attack {
@@ -172,38 +158,41 @@ func newInstance(sc *scenario, opts Options) (*instance, error) {
 }
 
 // inspect is the monitor tap: every non-collided frame on the victim
-// channel is judged at the frame tier. Alerts inside the attack window
-// count towards detection; everything is tallied.
+// channel is judged at the frame tier and its alerts tallied; frames
+// inside the attack window also feed the threshold-free score.
 func (it *instance) inspect(fc sim.FrameCapture) {
 	if fc.Collided {
 		return // two overlapped frames demodulate as neither
 	}
 	attacker := fc.Src == sim.IntruderSrc
 	evm, framingSeen := it.model.draw(fc.Seq, attacker, attacker && it.sc.bleFraming)
-	v := it.mon.Judge(ids.FrameFeatures{SoftEVM: evm, BLEFraming: framingSeen})
-	if !v.Suspicious() {
-		return
-	}
-	it.alertFrames++
-	for _, a := range v.Alerts {
-		it.alerts[a.Kind.String()]++
-	}
-	inWindow := !it.sc.attack || fc.At >= it.attackStart
-	if !inWindow {
-		return
-	}
-	for _, a := range v.Alerts {
-		switch a.Kind {
-		case ids.AlertModulationFingerprint:
-			it.fingerprint = true
-		case ids.AlertBLEFraming:
-			it.framing = true
+	if v := it.mon.Judge(ids.FrameFeatures{SoftEVM: evm, BLEFraming: framingSeen}); v.Suspicious() {
+		it.alertFrames++
+		for _, a := range v.Alerts {
+			it.alerts[a.Kind.String()]++
 		}
 	}
-	if it.firstAlertAt < 0 {
-		it.firstAlertAt = fc.At
-		it.firstAlertKind = v.Alerts[0].Kind.String()
+	start := it.windowStart()
+	if fc.At < start {
+		return
 	}
+	at := fc.At - start
+	if n := len(it.score.EVMRises); n == 0 || evm > it.score.EVMRises[n-1].EVM {
+		it.score.EVMRises = append(it.score.EVMRises, EVMRise{At: at, EVM: evm})
+	}
+	if framingSeen && it.score.FramingAt < 0 {
+		it.score.FramingAt = at
+	}
+}
+
+// windowStart is when detections start to count: the attack start, or
+// the run start for the benign baseline (every benign alert is a false
+// positive).
+func (it *instance) windowStart() time.Duration {
+	if !it.sc.attack {
+		return 0
+	}
+	return it.attackStart
 }
 
 // transmit forges one frame from the intruder, recording the first
@@ -235,7 +224,6 @@ func (it *instance) Score() Outcome {
 	out := Outcome{
 		Scenario:          it.sc.name,
 		Seed:              it.opts.Seed,
-		DetectionLatency:  -1,
 		AlertFrames:       it.alertFrames,
 		FramesInjected:    stats.Injected,
 		FramesAccepted:    stats.InjectedDelivered,
@@ -249,17 +237,13 @@ func (it *instance) Score() Outcome {
 			out.Alerts[k] = v
 		}
 	}
-	out.FingerprintDetected = it.fingerprint
-	out.FramingDetected = it.framing
-	if it.firstAlertAt >= 0 {
-		out.Detected = true
-		out.FirstAlert = it.firstAlertKind
-		start := it.attackStart
-		if !it.sc.attack {
-			start = 0
-		}
-		out.DetectionLatency = it.firstAlertAt - start
-	}
+	out.Score = it.score // complete: the tap only runs inside Run
+	det := out.Score.At(ids.DefaultFingerprintThreshold)
+	out.Detected = det.Detected()
+	out.DetectionLatency = det.Latency
+	out.FirstAlert = det.First
+	out.FingerprintDetected = det.Fingerprint
+	out.FramingDetected = det.Framing
 	if disrupted := stats.Nodes - stats.Joined; disrupted > 0 {
 		out.NodesDisrupted = disrupted
 	}

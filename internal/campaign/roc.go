@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -19,14 +20,14 @@ import (
 // wazabee_runner_* families cover trial-level progress; these summarise
 // the campaign sweep itself.
 const (
-	// CellsMetric counts (scenario, threshold) cells swept.
+	// CellsMetric counts (scenario, threshold) cells derived.
 	CellsMetric = "wazabee_campaign_cells_total"
-	// TrialsMetric counts scenario runs executed, including impact samples.
+	// TrialsMetric counts scenario runs executed: one per (scenario,
+	// trial), whatever the number of thresholds.
 	TrialsMetric = "wazabee_campaign_trials_total"
-	// DetectionsMetric counts trials on which each detector fired.
+	// DetectionsMetric counts, per detector, the trials it fired on,
+	// summed over every threshold's cell.
 	DetectionsMetric = "wazabee_campaign_detections_total"
-	// ImpactSamplesMetric counts the serial impact-measurement runs.
-	ImpactSamplesMetric = "wazabee_campaign_impact_samples_total"
 )
 
 // DefaultThresholds is the IDS operating-point sweep: 0.22 sits inside
@@ -34,10 +35,6 @@ const (
 // the calibrated default, 0.45 is past the diverted GFSK mean (true
 // positives become scarce). Together they trace a non-degenerate ROC.
 var DefaultThresholds = []float64{0.22, 0.27, 0.45}
-
-// DefaultImpactSamples is how many serial scenario runs feed the
-// per-scenario impact averages.
-const DefaultImpactSamples = 5
 
 // Outcome classes the matrix tallies. A trial's class names which
 // detectors fired inside the attack window.
@@ -51,14 +48,14 @@ const (
 // Classes is the full outcome class set, in report order.
 var Classes = []string{ClassUndetected, ClassFingerprint, ClassFraming, ClassBoth}
 
-// class maps a scored outcome onto the runner's class alphabet.
-func (o *Outcome) class() string {
+// class maps a detection onto the class alphabet.
+func (d Detection) class() string {
 	switch {
-	case o.FramingDetected && o.FingerprintDetected:
+	case d.Framing && d.Fingerprint:
 		return ClassBoth
-	case o.FramingDetected:
+	case d.Framing:
 		return ClassFraming
-	case o.FingerprintDetected:
+	case d.Fingerprint:
 		return ClassFingerprint
 	default:
 		return ClassUndetected
@@ -66,7 +63,7 @@ func (o *Outcome) class() string {
 }
 
 // MatrixSpec parameterises a campaign sweep: every selected scenario
-// crossed with every IDS threshold, each cell a Monte-Carlo point.
+// run Trials times, each run scored at every IDS threshold.
 type MatrixSpec struct {
 	// Scenarios selects catalogue entries; empty means the whole
 	// catalogue. The benign baseline is always included — it supplies
@@ -75,7 +72,8 @@ type MatrixSpec struct {
 	// Thresholds is the IDS operating-point sweep; empty selects
 	// DefaultThresholds.
 	Thresholds []float64
-	// Trials is the Monte-Carlo sample size per cell; <= 0 means 200.
+	// Trials is the Monte-Carlo sample size per scenario (and so per
+	// cell); <= 0 means 200.
 	Trials int
 	// Seed roots every trial's derived seed.
 	Seed int64
@@ -88,9 +86,6 @@ type MatrixSpec struct {
 	Duration time.Duration
 	Devices  int
 	Chip     string
-	// ImpactSamples is the number of serial runs behind each scenario's
-	// impact averages; <= 0 means DefaultImpactSamples.
-	ImpactSamples int
 	// Checkpoint, when non-empty, makes the sweep resumable.
 	Checkpoint string
 	// Obs receives campaign and runner telemetry; nil falls back to the
@@ -98,7 +93,7 @@ type MatrixSpec struct {
 	Obs *obs.Registry
 }
 
-// DefaultTrials is the per-cell sample size when the spec names none.
+// DefaultTrials is the per-scenario sample size when the spec names none.
 const DefaultTrials = 200
 
 func (s *MatrixSpec) fill() error {
@@ -130,29 +125,19 @@ func (s *MatrixSpec) fill() error {
 	if s.Trials <= 0 {
 		s.Trials = DefaultTrials
 	}
-	if s.ImpactSamples <= 0 {
-		s.ImpactSamples = DefaultImpactSamples
-	}
 	return nil
 }
 
 // options builds one trial's scenario Options from the sweep parameters.
-func (s *MatrixSpec) options(seed int64, threshold float64) Options {
+func (s *MatrixSpec) options(seed int64) Options {
 	return Options{
-		Seed:      seed,
-		Fidelity:  s.Fidelity,
-		Threshold: threshold,
-		SNRdB:     s.SNRdB,
-		Duration:  s.Duration,
-		Devices:   s.Devices,
-		Chip:      s.Chip,
+		Seed:     seed,
+		Fidelity: s.Fidelity,
+		SNRdB:    s.SNRdB,
+		Duration: s.Duration,
+		Devices:  s.Devices,
+		Chip:     s.Chip,
 	}
-}
-
-// CellKey names one (scenario, threshold) cell — the runner point key
-// and the checkpoint identity.
-func CellKey(scenario string, threshold float64) string {
-	return fmt.Sprintf("%s@%.3f", scenario, threshold)
 }
 
 // DetectorROC is one detector's rate at one cell, with its 95% Wilson
@@ -203,13 +188,11 @@ func (c *Cell) ROC(detector string) (DetectorROC, bool) {
 	return DetectorROC{}, false
 }
 
-// Impact is one scenario's averaged attack-effect measurements over the
-// serial impact samples (taken at the default threshold — detection
-// thresholds do not feed back into the mesh, so impact is
-// threshold-independent).
+// Impact is one scenario's attack-effect measurements averaged over its
+// matrix trials — the same runs every threshold's cell is scored on
+// (thresholds do not feed back into the mesh).
 type Impact struct {
 	Scenario                 string  `json:"scenario"`
-	Samples                  int     `json:"samples"`
 	FramesInjected           float64 `json:"frames_injected"`
 	FramesAccepted           float64 `json:"frames_accepted"`
 	NodesDisrupted           float64 `json:"nodes_disrupted"`
@@ -243,10 +226,67 @@ func (m *Matrix) Cell(scenario string, threshold float64) (*Cell, bool) {
 	return nil, false
 }
 
-// RunMatrix executes the sweep: every (scenario, threshold) cell as a
+// scoredClass is the runner class of every campaign trial: the
+// per-threshold classes ride in the value vector instead.
+const scoredClass = "scored"
+
+// Each trial hands the runner one value vector: per threshold, the
+// one-hot outcome class (in Classes order) and the detection latency in
+// seconds (0 when undetected); then the impact fields. The runner
+// averages it component-wise in canonical trial order.
+var perThreshold = len(Classes) + 1
+
+var impactNames = []string{
+	"frames_injected", "frames_accepted", "nodes_disrupted",
+	"channel_migrations", "readings", "energy_microjoules",
+	"energy_drained_microjoules",
+}
+
+// valueNames names the trial vector's components. The names carry the
+// exact thresholds, so the runner's checkpoint fingerprint refuses a
+// file written under another threshold list.
+func valueNames(thresholds []float64) []string {
+	var names []string
+	for _, th := range thresholds {
+		at := "@" + strconv.FormatFloat(th, 'g', -1, 64)
+		for _, c := range Classes {
+			names = append(names, c+at)
+		}
+		names = append(names, "latency_s"+at)
+	}
+	return append(names, impactNames...)
+}
+
+// trialValues scores one run at every threshold into its value vector.
+func trialValues(out *Outcome, thresholds []float64) []float64 {
+	v := make([]float64, 0, len(thresholds)*perThreshold+len(impactNames))
+	for _, th := range thresholds {
+		d := out.Score.At(th)
+		class := d.class()
+		for _, c := range Classes {
+			hit := 0.0
+			if c == class {
+				hit = 1
+			}
+			v = append(v, hit)
+		}
+		latency := 0.0
+		if d.Detected() {
+			latency = d.Latency.Seconds()
+		}
+		v = append(v, latency)
+	}
+	return append(v,
+		float64(out.FramesInjected), float64(out.FramesAccepted),
+		float64(out.NodesDisrupted), float64(out.ChannelMigrations),
+		float64(out.Readings), out.EnergyMicrojoules, out.EnergyDrainedMicrojoules)
+}
+
+// RunMatrix executes the sweep: every scenario's trials as one
 // Monte-Carlo point on the experiment runner (bit-identical at any
-// worker count, resumable through spec.Checkpoint), then the serial
-// impact samples. The benign baseline rides along at every threshold,
+// worker count, resumable through spec.Checkpoint), each trial run
+// once and scored at every threshold. Every cell and the impact table
+// derive from that one set of trials; the benign baseline rides along,
 // so each attack cell's TPR has a same-threshold FPR to compare with.
 func RunMatrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) {
 	if err := spec.fill(); err != nil {
@@ -255,29 +295,15 @@ func RunMatrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) {
 	reg := obs.Or(spec.Obs)
 	trialsC := reg.Counter(TrialsMetric)
 
-	byKey := make(map[string]struct {
-		sc Scenario
-		th float64
-	}, len(spec.Scenarios)*len(spec.Thresholds))
-	var points []runner.Point
-	for _, sc := range spec.Scenarios {
-		for _, th := range spec.Thresholds {
-			key := CellKey(sc.Name(), th)
-			byKey[key] = struct {
-				sc Scenario
-				th float64
-			}{sc, th}
-			points = append(points, runner.Point{Key: key, Trials: spec.Trials})
-		}
+	scenarios := make(map[string]Scenario, len(spec.Scenarios))
+	points := make([]runner.Point, len(spec.Scenarios))
+	for i, sc := range spec.Scenarios {
+		scenarios[sc.Name()] = sc
+		points[i] = runner.Point{Key: sc.Name(), Trials: spec.Trials}
 	}
-	reg.Counter(CellsMetric).Add(uint64(len(points)))
 
-	trial := func(ctx context.Context, seed int64, point runner.Point, _ int) (runner.Outcome, error) {
-		cell, ok := byKey[point.Key]
-		if !ok {
-			return runner.Outcome{}, fmt.Errorf("campaign: unknown cell %q", point.Key)
-		}
-		inst, err := cell.sc.Setup(spec.options(seed, cell.th))
+	trial := func(_ context.Context, seed int64, point runner.Point, _ int) (runner.Outcome, error) {
+		inst, err := scenarios[point.Key].Setup(spec.options(seed))
 		if err != nil {
 			return runner.Outcome{}, err
 		}
@@ -286,11 +312,7 @@ func RunMatrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) {
 		}
 		out := inst.Score()
 		trialsC.Inc()
-		latency := 0.0
-		if out.Detected {
-			latency = out.DetectionLatency.Seconds()
-		}
-		return runner.Outcome{Class: out.class(), Value: latency}, nil
+		return runner.Outcome{Class: scoredClass, Values: trialValues(&out, spec.Thresholds)}, nil
 	}
 
 	res, err := runner.Run(ctx, runner.Spec{
@@ -298,7 +320,8 @@ func RunMatrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) {
 		Seed:       spec.Seed,
 		Points:     points,
 		Workers:    spec.Workers,
-		Classes:    Classes,
+		Classes:    []string{scoredClass},
+		Values:     valueNames(spec.Thresholds),
 		Checkpoint: spec.Checkpoint,
 		Obs:        spec.Obs,
 	}, trial)
@@ -313,22 +336,25 @@ func RunMatrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) {
 		Trials:     spec.Trials,
 		Thresholds: append([]float64(nil), spec.Thresholds...),
 	}
-	for _, sc := range spec.Scenarios {
+	for i, pr := range res.Points {
+		sc := spec.Scenarios[i]
 		m.Scenarios = append(m.Scenarios, sc.Name())
-	}
-	for _, pr := range res.Points {
-		cell, ok := byKey[pr.Point.Key]
-		if !ok {
-			return nil, fmt.Errorf("campaign: runner returned unknown point %q", pr.Point.Key)
+		for j, th := range spec.Thresholds {
+			m.Cells = append(m.Cells, reduceCell(sc, th, pr.Trials, pr.Means[j*perThreshold:(j+1)*perThreshold], reg))
 		}
-		m.Cells = append(m.Cells, reduceCell(cell.sc, cell.th, &pr, reg))
+		imp := pr.Means[len(spec.Thresholds)*perThreshold:]
+		m.Impacts = append(m.Impacts, Impact{
+			Scenario:                 sc.Name(),
+			FramesInjected:           imp[0],
+			FramesAccepted:           imp[1],
+			NodesDisrupted:           imp[2],
+			ChannelMigrations:        imp[3],
+			Readings:                 imp[4],
+			EnergyMicrojoules:        imp[5],
+			EnergyDrainedMicrojoules: imp[6],
+		})
 	}
-
-	impacts, err := measureImpacts(ctx, &spec, reg)
-	if err != nil {
-		return nil, err
-	}
-	m.Impacts = impacts
+	reg.Counter(CellsMetric).Add(uint64(len(m.Cells)))
 	return m, nil
 }
 
@@ -340,88 +366,48 @@ func resolveFidelity(f radio.Fidelity) radio.Fidelity {
 	return f
 }
 
-// reduceCell folds one runner point into its matrix cell.
-func reduceCell(sc Scenario, th float64, pr *runner.PointResult, reg *obs.Registry) Cell {
+// reduceCell folds one threshold's slice of a scenario's mean value
+// vector (class shares, then mean latency) into its matrix cell.
+func reduceCell(sc Scenario, th float64, trials int, means []float64, reg *obs.Registry) Cell {
 	c := Cell{
 		Scenario:  sc.Name(),
 		Threshold: th,
 		Attack:    sc.Attack(),
-		Trials:    pr.Trials,
-		Counts:    pr.Counts,
+		Trials:    trials,
+		Counts:    make(map[string]int, len(Classes)),
 	}
-	detected := pr.Trials - pr.Counts[ClassUndetected]
+	for k, class := range Classes {
+		// A share times the trial count is an exact tally up to
+		// rounding in the last place.
+		c.Counts[class] = int(math.Round(means[k] * float64(trials)))
+	}
+	detected := trials - c.Counts[ClassUndetected]
 	rows := []struct {
 		name  string
 		count int
 	}{
 		{DetectorAny, detected},
-		{DetectorFingerprint, pr.Counts[ClassFingerprint] + pr.Counts[ClassBoth]},
-		{DetectorFraming, pr.Counts[ClassFraming] + pr.Counts[ClassBoth]},
+		{DetectorFingerprint, c.Counts[ClassFingerprint] + c.Counts[ClassBoth]},
+		{DetectorFraming, c.Counts[ClassFraming] + c.Counts[ClassBoth]},
 	}
 	for _, row := range rows {
-		lo, hi := runner.Wilson(row.count, pr.Trials)
+		lo, hi := runner.Wilson(row.count, trials)
 		rate := 0.0
-		if pr.Trials > 0 {
-			rate = float64(row.count) / float64(pr.Trials)
+		if trials > 0 {
+			rate = float64(row.count) / float64(trials)
 		}
 		c.Detection = append(c.Detection, DetectorROC{
-			Detector: row.name, Count: row.count, Trials: pr.Trials,
+			Detector: row.name, Count: row.count, Trials: trials,
 			Rate: rate, Lo: lo, Hi: hi,
 		})
 		reg.Counter(DetectionsMetric, "detector", row.name).Add(uint64(row.count))
 	}
-	// pr.Mean averages latency over every counted trial (undetected
-	// contribute 0); renormalise to the detected population.
+	// The latency mean runs over every trial (undetected contribute 0);
+	// renormalise to the detected population.
 	if detected > 0 {
-		c.MeanLatencySeconds = pr.Mean * float64(pr.Trials) / float64(detected)
+		c.MeanLatencySeconds = means[len(Classes)] * float64(trials) / float64(detected)
 	}
 	return c
-}
-
-// measureImpacts runs the serial impact samples: a few full scenario
-// runs per catalogue entry, averaged. Serial execution after the
-// parallel matrix keeps the whole campaign's output independent of the
-// worker count.
-func measureImpacts(ctx context.Context, spec *MatrixSpec, reg *obs.Registry) ([]Impact, error) {
-	samplesC := reg.Counter(ImpactSamplesMetric)
-	trialsC := reg.Counter(TrialsMetric)
-	var impacts []Impact
-	for _, sc := range spec.Scenarios {
-		imp := Impact{Scenario: sc.Name(), Samples: spec.ImpactSamples}
-		for i := 0; i < spec.ImpactSamples; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			seed := runner.TrialSeed(spec.Seed, sc.Name()+"/impact", i)
-			inst, err := sc.Setup(spec.options(seed, 0))
-			if err != nil {
-				return nil, err
-			}
-			if err := inst.Run(); err != nil {
-				return nil, fmt.Errorf("campaign: impact sample %d of %s: %w", i, sc.Name(), err)
-			}
-			out := inst.Score()
-			imp.FramesInjected += float64(out.FramesInjected)
-			imp.FramesAccepted += float64(out.FramesAccepted)
-			imp.NodesDisrupted += float64(out.NodesDisrupted)
-			imp.ChannelMigrations += float64(out.ChannelMigrations)
-			imp.Readings += float64(out.Readings)
-			imp.EnergyMicrojoules += out.EnergyMicrojoules
-			imp.EnergyDrainedMicrojoules += out.EnergyDrainedMicrojoules
-			samplesC.Inc()
-			trialsC.Inc()
-		}
-		n := float64(spec.ImpactSamples)
-		imp.FramesInjected /= n
-		imp.FramesAccepted /= n
-		imp.NodesDisrupted /= n
-		imp.ChannelMigrations /= n
-		imp.Readings /= n
-		imp.EnergyMicrojoules /= n
-		imp.EnergyDrainedMicrojoules /= n
-		impacts = append(impacts, imp)
-	}
-	return impacts, nil
 }
 
 // WriteJSON emits the matrix as indented JSON. The encoding is
@@ -521,7 +507,7 @@ func (m *Matrix) WriteText(w io.Writer) error {
 	if len(m.Impacts) == 0 {
 		return nil
 	}
-	if _, err := fmt.Fprintf(w, "impact (mean of %d runs/scenario)\n", m.Impacts[0].Samples); err != nil {
+	if _, err := fmt.Fprintf(w, "impact (mean over the %d trials/scenario above)\n", m.Trials); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "  %-22s %9s %9s %10s %9s %9s %12s %12s\n",

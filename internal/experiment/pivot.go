@@ -96,6 +96,7 @@ func RunPivotScan(ctx context.Context, cfg PivotScanConfig) ([]PivotScanRow, err
 		Points:     points,
 		Workers:    cfg.Workers,
 		Classes:    pivotClasses,
+		Values:     []string{"score"},
 		Checkpoint: cfg.Checkpoint,
 		Obs:        reg,
 	}
@@ -112,7 +113,7 @@ func RunPivotScan(ctx context.Context, cfg PivotScanConfig) ([]PivotScanRow, err
 		if ps.Score >= PivotableThreshold {
 			class = "pivotable"
 		}
-		return runner.Outcome{Class: class, Value: ps.Score}, nil
+		return runner.Outcome{Class: class, Values: []float64{ps.Score}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -124,7 +125,7 @@ func RunPivotScan(ctx context.Context, cfg PivotScanConfig) ([]PivotScanRow, err
 			Emulator:  pr.Point.Key,
 			Target:    tgt.Name,
 			Bursts:    pr.Trials,
-			MeanScore: pr.Mean,
+			MeanScore: pr.Means[0],
 		}
 		if est, ok := pr.Estimate("pivotable"); ok {
 			row.PivotableRate = est.Rate

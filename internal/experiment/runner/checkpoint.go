@@ -7,23 +7,26 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+
+	"wazabee/internal/splitmix"
 )
 
 // CheckpointVersion is the current on-disk checkpoint format version.
-// Decoding rejects files from a newer version descriptively rather than
-// guessing at their layout.
-const CheckpointVersion = 1
+// Decoding rejects files from any other version descriptively rather
+// than guessing at their layout. Version 2 replaced the per-shard scalar
+// value sum with a vector.
+const CheckpointVersion = 2
 
 // ShardRecord is one completed shard in a checkpoint: the class tallies
-// and value sum of trials [Start, End) of one point. Within a shard the
-// sum accumulates in trial order, so the record is bit-reproducible no
-// matter which worker ran it.
+// and value-vector sums of trials [Start, End) of one point. Within a
+// shard the sums accumulate in trial order, so the record is
+// bit-reproducible no matter which worker ran it.
 type ShardRecord struct {
 	Point  string         `json:"point"`
 	Start  int            `json:"start"`
 	End    int            `json:"end"`
 	Counts map[string]int `json:"counts,omitempty"`
-	Sum    float64        `json:"sum,omitempty"`
+	Sums   []float64      `json:"sums,omitempty"`
 }
 
 // Checkpoint is the versioned resume file of a run: the spec fingerprint
@@ -37,19 +40,22 @@ type Checkpoint struct {
 }
 
 // fingerprint folds everything that determines a run's work layout — name,
-// seed, shard size, classes, and each point's key and trial count — into a
-// hex token. A resume against a spec with a different fingerprint would
-// silently misattribute shards, so Load refuses it.
+// seed, shard size, classes, value names, and each point's key and trial
+// count — into a hex token. A resume against a spec with a different
+// fingerprint would silently misattribute shards, so Load refuses it.
 func fingerprint(spec *Spec) string {
-	h := splitmix64(uint64(spec.Seed))
-	h = splitmix64(h ^ fnv64a(spec.Name))
-	h = splitmix64(h ^ uint64(int64(spec.shardSize())))
+	h := splitmix.Mix(uint64(spec.Seed))
+	h = splitmix.Mix(h ^ fnv64a(spec.Name))
+	h = splitmix.Mix(h ^ uint64(int64(spec.shardSize())))
 	for _, c := range spec.Classes {
-		h = splitmix64(h ^ fnv64a(c))
+		h = splitmix.Mix(h ^ fnv64a(c))
+	}
+	for _, v := range spec.Values {
+		h = splitmix.Mix(h ^ fnv64a("value/"+v))
 	}
 	for _, p := range spec.Points {
-		h = splitmix64(h ^ fnv64a(p.Key))
-		h = splitmix64(h ^ uint64(int64(p.Trials)))
+		h = splitmix.Mix(h ^ fnv64a(p.Key))
+		h = splitmix.Mix(h ^ uint64(int64(p.Trials)))
 	}
 	return strconv.FormatUint(h, 16)
 }
@@ -69,6 +75,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if cp.Version > CheckpointVersion {
 		return nil, fmt.Errorf("runner: checkpoint version %d is newer than supported version %d — refusing to guess at its layout", cp.Version, CheckpointVersion)
 	}
+	if cp.Version < CheckpointVersion {
+		return nil, fmt.Errorf("runner: checkpoint version %d predates version %d (value sums became vectors) — delete it and rerun", cp.Version, CheckpointVersion)
+	}
 	for i, s := range cp.Shards {
 		if s.Point == "" {
 			return nil, fmt.Errorf("runner: checkpoint shard %d has no point key", i)
@@ -85,6 +94,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 		if total != s.End-s.Start {
 			return nil, fmt.Errorf("runner: checkpoint shard %d tallies %d trials for range [%d, %d)", i, total, s.Start, s.End)
+		}
+		if len(s.Sums) != len(cp.Shards[0].Sums) {
+			return nil, fmt.Errorf("runner: checkpoint shard %d carries %d value sums, shard 0 carries %d", i, len(s.Sums), len(cp.Shards[0].Sums))
 		}
 	}
 	return &cp, nil

@@ -10,15 +10,15 @@ import (
 
 func validCheckpointBytes(t *testing.T) []byte {
 	t.Helper()
-	spec := Spec{Name: "cp", Seed: 5, Points: []Point{{Key: "p", Trials: 4}}, ShardSize: 2, Classes: []string{"ok", "bad"}}
+	spec := Spec{Name: "cp", Seed: 5, Points: []Point{{Key: "p", Trials: 4}}, ShardSize: 2, Classes: []string{"ok", "bad"}, Values: []string{"v"}}
 	cp := Checkpoint{
 		Version:     CheckpointVersion,
 		Spec:        spec.Name,
 		Seed:        spec.Seed,
 		Fingerprint: fingerprint(&spec),
 		Shards: []ShardRecord{
-			{Point: "p", Start: 0, End: 2, Counts: map[string]int{"ok": 2}, Sum: 1.5},
-			{Point: "p", Start: 2, End: 4, Counts: map[string]int{"ok": 1, "bad": 1}, Sum: 0.25},
+			{Point: "p", Start: 0, End: 2, Counts: map[string]int{"ok": 2}, Sums: []float64{1.5}},
+			{Point: "p", Start: 2, End: 4, Counts: map[string]int{"ok": 1, "bad": 1}, Sums: []float64{0.25}},
 		},
 	}
 	data, err := json.Marshal(&cp)
@@ -36,7 +36,7 @@ func TestDecodeCheckpointRoundTrip(t *testing.T) {
 	if cp.Version != CheckpointVersion || len(cp.Shards) != 2 {
 		t.Fatalf("decoded %+v", cp)
 	}
-	if cp.Shards[0].Sum != 1.5 || cp.Shards[1].Counts["bad"] != 1 {
+	if cp.Shards[0].Sums[0] != 1.5 || cp.Shards[1].Counts["bad"] != 1 {
 		t.Fatalf("shard payload lost: %+v", cp.Shards)
 	}
 }
@@ -53,11 +53,13 @@ func TestDecodeCheckpointRejections(t *testing.T) {
 		{"not json", []byte("definitely not json"), "corrupt"},
 		{"no version", []byte(`{"shards":[]}`), "version"},
 		{"future version", []byte(`{"version":99}`), "newer than supported"},
-		{"empty point key", []byte(`{"version":1,"shards":[{"point":"","start":0,"end":2}]}`), "no point key"},
-		{"inverted range", []byte(`{"version":1,"shards":[{"point":"p","start":3,"end":1}]}`), "invalid trial range"},
-		{"negative start", []byte(`{"version":1,"shards":[{"point":"p","start":-1,"end":1}]}`), "invalid trial range"},
-		{"negative count", []byte(`{"version":1,"shards":[{"point":"p","start":0,"end":1,"counts":{"ok":-1}}]}`), "class"},
-		{"count mismatch", []byte(`{"version":1,"shards":[{"point":"p","start":0,"end":4,"counts":{"ok":1}}]}`), "tallies"},
+		{"scalar-sum version", []byte(`{"version":1,"shards":[]}`), "predates"},
+		{"empty point key", []byte(`{"version":2,"shards":[{"point":"","start":0,"end":2}]}`), "no point key"},
+		{"inverted range", []byte(`{"version":2,"shards":[{"point":"p","start":3,"end":1}]}`), "invalid trial range"},
+		{"negative start", []byte(`{"version":2,"shards":[{"point":"p","start":-1,"end":1}]}`), "invalid trial range"},
+		{"negative count", []byte(`{"version":2,"shards":[{"point":"p","start":0,"end":1,"counts":{"ok":-1}}]}`), "class"},
+		{"count mismatch", []byte(`{"version":2,"shards":[{"point":"p","start":0,"end":4,"counts":{"ok":1}}]}`), "tallies"},
+		{"value width mismatch", []byte(`{"version":2,"shards":[{"point":"p","start":0,"end":1,"counts":{"ok":1},"sums":[1,2]},{"point":"p","start":1,"end":2,"counts":{"ok":1},"sums":[3]}]}`), "value sums"},
 	}
 	for _, tc := range cases {
 		_, err := DecodeCheckpoint(tc.data)
@@ -72,7 +74,7 @@ func TestDecodeCheckpointRejections(t *testing.T) {
 }
 
 func TestSaveLoadCheckpoint(t *testing.T) {
-	spec := Spec{Name: "sl", Seed: 7, Points: []Point{{Key: "a", Trials: 3}, {Key: "b", Trials: 3}}, ShardSize: 3, Classes: []string{"ok"}}
+	spec := Spec{Name: "sl", Seed: 7, Points: []Point{{Key: "a", Trials: 3}, {Key: "b", Trials: 3}}, ShardSize: 3, Classes: []string{"ok"}, Values: []string{"v"}}
 	path := filepath.Join(t.TempDir(), "cp.json")
 
 	// Missing file is a fresh start, not an error.
@@ -82,8 +84,8 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 	}
 
 	records := []ShardRecord{
-		{Point: "b", Start: 0, End: 3, Counts: map[string]int{"ok": 3}},
-		{Point: "a", Start: 0, End: 3, Counts: map[string]int{"ok": 3}, Sum: 2},
+		{Point: "b", Start: 0, End: 3, Counts: map[string]int{"ok": 3}, Sums: []float64{0}},
+		{Point: "a", Start: 0, End: 3, Counts: map[string]int{"ok": 3}, Sums: []float64{2}},
 	}
 	if err := saveCheckpoint(path, &spec, records); err != nil {
 		t.Fatal(err)
@@ -96,7 +98,7 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 	if cp.Shards[0].Point != "a" || cp.Shards[1].Point != "b" {
 		t.Errorf("shards not in canonical order: %+v", cp.Shards)
 	}
-	if cp.Shards[0].Sum != 2 {
+	if cp.Shards[0].Sums[0] != 2 {
 		t.Errorf("sum lost on round trip: %+v", cp.Shards[0])
 	}
 
@@ -126,6 +128,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"trials":     {Name: "fp", Seed: 1, Points: []Point{{Key: "a", Trials: 11}}, ShardSize: 4, Classes: base.Classes},
 		"point key":  {Name: "fp", Seed: 1, Points: []Point{{Key: "b", Trials: 10}}, ShardSize: 4, Classes: base.Classes},
 		"classes":    {Name: "fp", Seed: 1, Points: base.Points, ShardSize: 4, Classes: []string{"ok", "bad"}},
+		"values":     {Name: "fp", Seed: 1, Points: base.Points, ShardSize: 4, Classes: base.Classes, Values: []string{"v"}},
 	}
 	for what, m := range mutations {
 		if fingerprint(&m) == fp {

@@ -10,14 +10,14 @@ import (
 // future versions, hostile values — DecodeCheckpoint must either return
 // a descriptive error or a structurally valid checkpoint, never panic.
 func FuzzCheckpointDecode(f *testing.F) {
-	spec := Spec{Name: "fuzz", Seed: 3, Points: []Point{{Key: "p", Trials: 4}}, ShardSize: 2, Classes: []string{"ok"}}
+	spec := Spec{Name: "fuzz", Seed: 3, Points: []Point{{Key: "p", Trials: 4}}, ShardSize: 2, Classes: []string{"ok"}, Values: []string{"v"}}
 	valid, err := json.Marshal(&Checkpoint{
 		Version:     CheckpointVersion,
 		Spec:        spec.Name,
 		Seed:        spec.Seed,
 		Fingerprint: fingerprint(&spec),
 		Shards: []ShardRecord{
-			{Point: "p", Start: 0, End: 2, Counts: map[string]int{"ok": 2}, Sum: 0.5},
+			{Point: "p", Start: 0, End: 2, Counts: map[string]int{"ok": 2}, Sums: []float64{0.5}},
 		},
 	})
 	if err != nil {
@@ -26,8 +26,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{"version":99}`))
-	f.Add([]byte(`{"version":1,"shards":[{"point":"p","start":-9,"end":0}]}`))
-	f.Add([]byte(`{"version":1,"shards":[{"point":"p","start":0,"end":9007199254740993,"counts":{"ok":-5}}]}`))
+	f.Add([]byte(`{"version":2,"shards":[{"point":"p","start":-9,"end":0}]}`))
+	f.Add([]byte(`{"version":2,"shards":[{"point":"p","start":0,"end":9007199254740993,"counts":{"ok":-5}}]}`))
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -44,6 +44,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("accepted version %d", cp.Version)
 		}
 		for _, s := range cp.Shards {
+			if len(s.Sums) != len(cp.Shards[0].Sums) {
+				t.Fatalf("accepted value-width mismatch in %+v", cp.Shards)
+			}
 			if s.Point == "" || s.Start < 0 || s.End <= s.Start {
 				t.Fatalf("accepted invalid shard %+v", s)
 			}

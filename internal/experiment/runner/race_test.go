@@ -39,6 +39,7 @@ func TestRunnerHammer(t *testing.T) {
 					Workers:   1 + (lane+n)%8, // pool churn: every size 1..8
 					ShardSize: 4,
 					Classes:   []string{"ok", "bad"},
+					Values:    []string{"v"},
 					Obs:       reg,
 				}
 				res, err := Run(context.Background(), spec, coinTrial(0.5))
@@ -114,7 +115,7 @@ func TestRunnerHammerCancellation(t *testing.T) {
 			_, err := Run(ctx, Spec{
 				Name: label, Seed: 5, Points: points,
 				Workers: 2 + lane, ShardSize: 4,
-				Classes: []string{"ok", "bad"}, Obs: reg,
+				Classes: []string{"ok", "bad"}, Values: []string{"v"}, Obs: reg,
 			}, trial)
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s: err = %v, want context.Canceled", label, err)

@@ -53,11 +53,12 @@ type Point struct {
 }
 
 // Outcome is the result of one trial: a classification (tallied into rate
-// estimates with Wilson intervals) and an optional scalar (averaged into
-// the point's Mean — pivotability scores, for instance).
+// estimates with Wilson intervals) and a fixed-length value vector, one
+// entry per Spec.Values name, averaged component-wise into the point's
+// Means (pivotability scores, per-threshold detection indicators).
 type Outcome struct {
-	Class string
-	Value float64
+	Class  string
+	Values []float64
 }
 
 // Trial executes one Monte-Carlo trial. All of the trial's randomness
@@ -97,6 +98,10 @@ type Spec struct {
 	// reported for every class (zero or not) and a trial returning an
 	// unlisted class aborts the run as a programming error.
 	Classes []string
+	// Values names the components of every trial's Outcome.Values, in
+	// order. A trial returning a vector of another length aborts the run
+	// as a programming error.
+	Values []string
 	// Checkpoint, when non-empty, is the resume file path: completed
 	// shards are persisted there and a compatible existing file seeds the
 	// run. The file is removed when the run completes.
@@ -150,9 +155,10 @@ type PointResult struct {
 	Trials int
 	// Counts tallies trials by class.
 	Counts map[string]int
-	// Mean averages Outcome.Value over the counted trials, reduced in
-	// canonical trial order so it is bit-reproducible.
-	Mean float64
+	// Means averages Outcome.Values component-wise over the counted
+	// trials, indexed like Spec.Values and reduced in canonical trial
+	// order so it is bit-reproducible.
+	Means []float64
 	// Estimates carries one rate-with-interval per class, in the spec's
 	// class order (or sorted observed classes when the spec names none).
 	Estimates []Estimate
@@ -188,7 +194,7 @@ type shardRef struct {
 // shardResult is one executed (or restored) shard's local tally.
 type shardResult struct {
 	counts map[string]int
-	sum    float64
+	sums   []float64
 }
 
 // pointState is the collector's view of one point.
@@ -400,6 +406,9 @@ func (r *run) restore(cp *Checkpoint) error {
 		if sh.end != rec.End {
 			return fmt.Errorf("runner: checkpoint shard %s[%d:%d) does not match spec shard [%d:%d)", rec.Point, rec.Start, rec.End, sh.start, sh.end)
 		}
+		if len(rec.Sums) != len(r.spec.Values) {
+			return fmt.Errorf("runner: checkpoint shard %s[%d:%d) carries %d value sums, spec names %d", rec.Point, rec.Start, rec.End, len(rec.Sums), len(r.spec.Values))
+		}
 		counts := make(map[string]int, len(rec.Counts))
 		for class, n := range rec.Counts {
 			if r.classSet != nil && !r.classSet[class] {
@@ -407,7 +416,7 @@ func (r *run) restore(cp *Checkpoint) error {
 			}
 			counts[class] = n
 		}
-		r.points[sh.point].done[sh.index] = &shardResult{counts: counts, sum: rec.Sum}
+		r.points[sh.point].done[sh.index] = &shardResult{counts: counts, sums: rec.Sums}
 		r.state[i] = shardRestored
 		restored++
 	}
@@ -457,7 +466,7 @@ func (r *run) work(ctx context.Context) {
 func (r *run) execute(ctx context.Context, i int, sh shardRef) {
 	point := r.spec.Points[sh.point]
 	counts := make(map[string]int, 4)
-	sum := 0.0
+	sums := make([]float64, len(r.spec.Values))
 	for t := sh.start; t < sh.end; t++ {
 		if ctx.Err() != nil {
 			return // abandoned mid-shard; accounted as skipped at the end
@@ -471,15 +480,21 @@ func (r *run) execute(ctx context.Context, i int, sh shardRef) {
 			r.fail(fmt.Errorf("runner: point %q trial %d returned class %q, not in %v", point.Key, t, out.Class, r.spec.Classes))
 			return
 		}
+		if len(out.Values) != len(sums) {
+			r.fail(fmt.Errorf("runner: point %q trial %d returned %d values, spec names %d", point.Key, t, len(out.Values), len(sums)))
+			return
+		}
 		counts[out.Class]++
-		sum += out.Value
+		for k, v := range out.Values {
+			sums[k] += v
+		}
 		r.trialsC.Inc()
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.points[sh.point]
-	st.done[sh.index] = &shardResult{counts: counts, sum: sum}
+	st.done[sh.index] = &shardResult{counts: counts, sums: sums}
 	r.state[i] = shardCompleted
 	r.completedC.Inc()
 	if st.stopped {
@@ -586,7 +601,7 @@ func (r *run) checkpointLocked() {
 				Start:  start,
 				End:    start + shardTrials(st, idx, size),
 				Counts: sr.counts,
-				Sum:    sr.sum,
+				Sums:   sr.sums,
 			})
 		}
 	}
@@ -607,14 +622,16 @@ func (r *run) reduce() *Result {
 			counted = st.stopShards
 		}
 		counts := make(map[string]int)
-		sum := 0.0
+		sums := make([]float64, len(r.spec.Values))
 		trials := 0
 		for idx := 0; idx < counted; idx++ {
 			sr := st.done[idx]
 			for class, n := range sr.counts {
 				counts[class] += n
 			}
-			sum += sr.sum
+			for k, v := range sr.sums {
+				sums[k] += v
+			}
 			trials += shardTrials(st, idx, size)
 		}
 		classes := r.spec.Classes
@@ -624,9 +641,11 @@ func (r *run) reduce() *Result {
 			}
 			sort.Strings(classes)
 		}
-		pr := PointResult{Point: st.point, Trials: trials, Counts: counts}
+		pr := PointResult{Point: st.point, Trials: trials, Counts: counts, Means: sums}
 		if trials > 0 {
-			pr.Mean = sum / float64(trials)
+			for k := range sums {
+				sums[k] /= float64(trials)
+			}
 		}
 		for _, class := range classes {
 			n := counts[class]

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -25,7 +26,7 @@ func coinTrial(bias float64) Trial {
 		if v < bias {
 			class = "ok"
 		}
-		return Outcome{Class: class, Value: v}, nil
+		return Outcome{Class: class, Values: []float64{v}}, nil
 	}
 }
 
@@ -41,6 +42,7 @@ func testSpec(workers int) Spec {
 		Workers:   workers,
 		ShardSize: 8,
 		Classes:   []string{"ok", "bad"},
+		Values:    []string{"v"},
 		Obs:       obs.NewRegistry(),
 	}
 }
@@ -112,7 +114,7 @@ func TestRunTrialErrorAborts(t *testing.T) {
 		if p.Key == "p1" && i == 9 {
 			return Outcome{}, boom
 		}
-		return Outcome{Class: "ok"}, nil
+		return Outcome{Class: "ok", Values: []float64{0}}, nil
 	}
 	_, err := Run(context.Background(), testSpec(4), trial)
 	if !errors.Is(err, boom) {
@@ -122,10 +124,20 @@ func TestRunTrialErrorAborts(t *testing.T) {
 
 func TestRunUnknownClassAborts(t *testing.T) {
 	trial := func(_ context.Context, _ int64, _ Point, _ int) (Outcome, error) {
-		return Outcome{Class: "mystery"}, nil
+		return Outcome{Class: "mystery", Values: []float64{0}}, nil
 	}
 	if _, err := Run(context.Background(), testSpec(2), trial); err == nil {
 		t.Fatal("unknown class accepted")
+	}
+}
+
+func TestRunValueWidthAborts(t *testing.T) {
+	trial := func(_ context.Context, _ int64, _ Point, _ int) (Outcome, error) {
+		return Outcome{Class: "ok", Values: []float64{1, 2}}, nil
+	}
+	_, err := Run(context.Background(), testSpec(2), trial)
+	if err == nil || !strings.Contains(err.Error(), "returned 2 values, spec names 1") {
+		t.Fatalf("value vector of the wrong length: err = %v", err)
 	}
 }
 
@@ -139,6 +151,7 @@ func TestRunEstimates(t *testing.T) {
 		Workers:   4,
 		ShardSize: 4,
 		Classes:   []string{"even", "odd", "never"},
+		Values:    []string{"i", "-2i"},
 		Obs:       obs.NewRegistry(),
 	}
 	trial := func(_ context.Context, _ int64, _ Point, i int) (Outcome, error) {
@@ -146,7 +159,7 @@ func TestRunEstimates(t *testing.T) {
 		if i%2 == 1 {
 			class = "odd"
 		}
-		return Outcome{Class: class, Value: float64(i)}, nil
+		return Outcome{Class: class, Values: []float64{float64(i), -2 * float64(i)}}, nil
 	}
 	res, err := Run(context.Background(), spec, trial)
 	if err != nil {
@@ -159,8 +172,8 @@ func TestRunEstimates(t *testing.T) {
 	if p.Counts["even"] != 10 || p.Counts["odd"] != 10 || p.Counts["never"] != 0 {
 		t.Fatalf("counts = %v", p.Counts)
 	}
-	if want := 9.5; p.Mean != want { // mean of 0..19
-		t.Errorf("mean = %g, want %g", p.Mean, want)
+	if want := []float64{9.5, -19}; !reflect.DeepEqual(p.Means, want) { // means of 0..19, 0..-38
+		t.Errorf("means = %v, want %v", p.Means, want)
 	}
 	if len(p.Estimates) != 3 {
 		t.Fatalf("estimates = %d, want one per class", len(p.Estimates))
@@ -258,6 +271,7 @@ func TestRunAdaptiveStop(t *testing.T) {
 			Workers:   workers,
 			ShardSize: 16,
 			Classes:   []string{"ok", "bad"},
+			Values:    []string{"v"},
 			Obs:       obs.NewRegistry(),
 			Stop:      &Stop{Class: "ok", HalfWidth: 0.05, MinTrials: 32},
 		}

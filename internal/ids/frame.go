@@ -12,6 +12,13 @@ import (
 // above 0.33 rad, so 0.27 splits the calibrated distributions.
 const DefaultFingerprintThreshold = 0.27
 
+// FingerprintFires is the modulation-fingerprint decision rule both
+// monitor tiers apply: a frame is flagged as GFSK-originated only when
+// its soft EVM lies strictly above the threshold.
+func FingerprintFires(softEVM, threshold float64) bool {
+	return softEVM > threshold
+}
+
 // FrameFeatures are the detector inputs of one frame at the frame
 // fidelity tier, where no waveform exists to demodulate: the fingerprint
 // statistic and framing evidence arrive pre-extracted (in simulation,
@@ -69,7 +76,7 @@ func (m *FrameMonitor) Judge(f FrameFeatures) *Verdict {
 			Detail: "802.15.4 frame on a channel with no deployed network",
 		})
 	}
-	if f.SoftEVM > m.FingerprintThreshold {
+	if FingerprintFires(f.SoftEVM, m.FingerprintThreshold) {
 		verdict.Alerts = append(verdict.Alerts, Alert{
 			Kind: AlertModulationFingerprint,
 			Detail: fmt.Sprintf("soft EVM %.2f rad above threshold %.2f",

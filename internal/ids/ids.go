@@ -170,7 +170,7 @@ func (m *Monitor) Inspect(capture dsp.IQ) (*Verdict, error) {
 		})
 	}
 
-	if verdict.SoftEVM > m.FingerprintThreshold {
+	if FingerprintFires(verdict.SoftEVM, m.FingerprintThreshold) {
 		verdict.Alerts = append(verdict.Alerts, Alert{
 			Kind: AlertModulationFingerprint,
 			Detail: fmt.Sprintf("soft EVM %.2f rad above threshold %.2f",

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"wazabee/internal/bitstream"
 )
 
 func TestPPDUBytesLayout(t *testing.T) {
@@ -193,6 +195,48 @@ func TestParseMACFrameFCSError(t *testing.T) {
 func TestParseMACFrameTruncated(t *testing.T) {
 	if _, err := ParseMACFrame([]byte{1, 2}); err == nil {
 		t.Error("expected error for short PSDU")
+	}
+}
+
+// fcsValidPSDU builds an n-byte data frame whose FCS checks out, for any
+// n from 11 up — including lengths Encode refuses to produce.
+func fcsValidPSDU(t testing.TB, n int) []byte {
+	t.Helper()
+	psdu, err := NewDataFrame(1, 0x1234, 0x0042, 0x0063, nil, false).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(psdu[:len(psdu)-2:len(psdu)-2], make([]byte, n-len(psdu))...)
+	fcs := bitstream.FCS16Bytes(bitstream.FCS16(body))
+	return append(body, fcs[0], fcs[1])
+}
+
+// TestParseMACFrameLength pins the PSDU length bounds the parser
+// enforces: the same aMaxPHYPacketSize that Encode and NewPPDU apply.
+func TestParseMACFrameLength(t *testing.T) {
+	tests := []struct {
+		name string
+		psdu []byte
+		ok   bool
+	}{
+		{name: "shortest data frame", psdu: fcsValidPSDU(t, 11), ok: true},
+		{name: "max length", psdu: fcsValidPSDU(t, MaxPSDULength), ok: true},
+		{name: "one past max, FCS valid", psdu: fcsValidPSDU(t, MaxPSDULength+1)},
+		{name: "below FCF+seq+FCS", psdu: []byte{0x41, 0x88, 0x01, 0x00}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if !bitstream.CheckFCS(tt.psdu) && tt.ok {
+				t.Fatal("test PSDU has a bad FCS")
+			}
+			_, err := ParseMACFrame(tt.psdu)
+			if tt.ok && err != nil {
+				t.Errorf("%d-byte PSDU rejected: %v", len(tt.psdu), err)
+			}
+			if !tt.ok && err == nil {
+				t.Errorf("%d-byte PSDU accepted", len(tt.psdu))
+			}
+		})
 	}
 }
 

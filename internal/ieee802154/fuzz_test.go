@@ -12,10 +12,14 @@ func FuzzParseMACFrame(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00})
+	f.Add(fcsValidPSDU(f, MaxPSDULength+1))
 	f.Fuzz(func(t *testing.T, psdu []byte) {
 		frame, err := ParseMACFrame(psdu)
 		if err != nil {
 			return
+		}
+		if len(psdu) > MaxPSDULength {
+			t.Fatalf("parser accepted oversized PSDU (%d)", len(psdu))
 		}
 		// Whatever parses must re-encode and re-parse to the same
 		// frame.

@@ -155,6 +155,9 @@ func ParseMACFrame(psdu []byte) (*MACFrame, error) {
 	if len(psdu) < 5 { // FCF + seq + FCS
 		return nil, fmt.Errorf("ieee802154: PSDU too short (%d bytes)", len(psdu))
 	}
+	if len(psdu) > MaxPSDULength {
+		return nil, fmt.Errorf("ieee802154: PSDU length %d exceeds %d", len(psdu), MaxPSDULength)
+	}
 	if !bitstream.CheckFCS(psdu) {
 		return nil, &FCSError{Length: len(psdu)}
 	}

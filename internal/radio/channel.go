@@ -10,6 +10,7 @@ import (
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
+	"wazabee/internal/splitmix"
 )
 
 // Fidelity selects how much physics a Channel simulates per frame.
@@ -241,11 +242,9 @@ func passband(txFreqMHz, rxFreqMHz float64) (inBand, adjacent bool) {
 type seedStream struct{ state uint64 }
 
 func (s *seedStream) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := splitmix.Mix(s.state)
+	s.state += splitmix.Gamma
+	return z
 }
 
 func (s *seedStream) float64() float64 {
@@ -420,8 +419,8 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 
 // frameChannel is the cheapest tier: the symbol tier's statistics are
 // collapsed to one closed-form per-frame success probability and a
-// single uniform draw. It is what DeliverVirtual and the mesh
-// simulator's erasure model run on.
+// single uniform draw. It is what the mesh simulator's erasure model
+// runs on.
 type frameChannel struct {
 	m    *Medium
 	prof *CalProfile

@@ -297,3 +297,125 @@ func TestDefaultCalTableShipsAllProfiles(t *testing.T) {
 		}
 	}
 }
+
+// frameTier builds a frame-tier channel on the native O-QPSK profile —
+// the channel the mesh simulator's erasure draws run on — over a medium
+// with the given seed.
+func frameTier(t *testing.T, mediumSeed int64) Channel {
+	t.Helper()
+	m, err := NewMedium(16e6, mediumSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Obs = obs.NewRegistry()
+	ch, err := m.Channel(FidelityFrame, ChannelOptions{Profile: ProfileOQPSK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
+// deliverLen delivers a length-only frame from 2420 MHz on ch.
+func deliverLen(t *testing.T, ch Channel, psduLen int, rxFreqMHz, snrDB float64, seed uint64) FrameOutcome {
+	t.Helper()
+	out, err := ch.Deliver(FrameSpec{
+		PSDULen: psduLen, TxFreqMHz: 2420, RxFreqMHz: rxFreqMHz,
+		Link: Link{SNRdB: snrDB}, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDeliverVirtualPassbandGate checks the frame tier's passband gate:
+// far-channel transmissions are never delivered and a strong
+// co-channel frame always is.
+func TestDeliverVirtualPassbandGate(t *testing.T) {
+	ch := frameTier(t, 1)
+	if out := deliverLen(t, ch, 20, 2470, 30, 1); out.InBand || out.Delivered() {
+		t.Errorf("out-of-band delivery reported %+v", out)
+	}
+	out := deliverLen(t, ch, 20, 2420, 30, 1)
+	if !out.InBand || !out.Delivered() {
+		t.Errorf("30 dB co-channel frame not delivered: %+v", out)
+	}
+	if out.SuccessProb < 0.999 {
+		t.Errorf("success prob %g at 30 dB, want ~1", out.SuccessProb)
+	}
+}
+
+// TestDeliverVirtualAdjacentChannelPenalty checks that a frame-tier
+// delivery on the adjacent channel is in band but pays the 20 dB
+// penalty in success probability.
+func TestDeliverVirtualAdjacentChannelPenalty(t *testing.T) {
+	ch := frameTier(t, 1)
+	co := deliverLen(t, ch, 40, 2420, 12, 7)
+	adj := deliverLen(t, ch, 40, 2421, 12, 7)
+	if !adj.InBand {
+		t.Fatal("adjacent channel should still be in band")
+	}
+	if adj.SuccessProb >= co.SuccessProb {
+		t.Errorf("adjacent-channel success prob %g not below co-channel %g", adj.SuccessProb, co.SuccessProb)
+	}
+}
+
+// TestFrameChannelDeterministicInSeed checks that a frame-tier outcome
+// is a function of the delivery seed alone: the medium's own seed (and
+// its shared Rand) must not matter.
+func TestFrameChannelDeterministicInSeed(t *testing.T) {
+	ch1, ch2 := frameTier(t, 1), frameTier(t, 99)
+	for seed := uint64(0); seed < 512; seed++ {
+		a := deliverLen(t, ch1, 60, 2420, 1.5, seed) // deep in the erasure regime
+		b := deliverLen(t, ch2, 60, 2420, 1.5, seed)
+		if a.InBand != b.InBand || a.Delivered() != b.Delivered() || a.SuccessProb != b.SuccessProb {
+			t.Fatalf("seed %d: outcomes diverge: %+v vs %+v", seed, a, b)
+		}
+	}
+}
+
+// TestFrameChannelErasureRateTracksProbability checks that the frame
+// tier's per-seed draws deliver at the rate its closed-form success
+// probability claims.
+func TestFrameChannelErasureRateTracksProbability(t *testing.T) {
+	ch := frameTier(t, 1)
+	const trials = 20000
+	delivered := 0
+	var prob float64
+	for seed := uint64(0); seed < trials; seed++ {
+		out := deliverLen(t, ch, 40, 2420, 2, seed)
+		prob = out.SuccessProb
+		if out.Delivered() {
+			delivered++
+		}
+	}
+	if prob <= 0 || prob >= 1 {
+		t.Fatalf("success prob %g not in the mixed regime; pick a different SNR", prob)
+	}
+	got := float64(delivered) / trials
+	// Binomial std dev ~ sqrt(p(1-p)/n); allow 5 sigma.
+	tol := 5 * math.Sqrt(prob*(1-prob)/trials)
+	if math.Abs(got-prob) > tol {
+		t.Errorf("delivered rate %.4f vs model prob %.4f (tol %.4f)", got, prob, tol)
+	}
+}
+
+// TestSymbolCorrectProbTable pins the despreader-consistency invariants
+// of the frame tier's per-symbol decode table: up to half the minimum
+// codeword distance always decodes, and more chip errors never help.
+func TestSymbolCorrectProbTable(t *testing.T) {
+	p := symbolCorrectProbTable()
+	for k := 0; k <= 5; k++ {
+		if p[k] != 1 {
+			t.Errorf("P[decode | %d chip errors] = %g, want 1 (min codeword distance 12)", k, p[k])
+		}
+	}
+	for k := 7; k <= 16; k++ {
+		if p[k] > p[k-1]+0.02 { // Monte-Carlo jitter margin
+			t.Errorf("P[decode | %d errors] = %g above P[decode | %d] = %g", k, p[k], k-1, p[k-1])
+		}
+	}
+	if p[16] > 0.5 {
+		t.Errorf("P[decode | 16 errors] = %g, want near-random despreading", p[16])
+	}
+}

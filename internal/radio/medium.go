@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"wazabee/internal/dsp"
@@ -49,12 +48,6 @@ type Medium struct {
 
 	rnd         *rand.Rand
 	interferers []WiFiInterferer
-
-	// virtualCh is the lazily-built frame-fidelity channel behind
-	// DeliverVirtual (see virtualChannel).
-	virtualOnce sync.Once
-	virtualCh   Channel
-	virtualErr  error
 }
 
 // NewMedium builds a medium with the given sample rate and seed. All
@@ -81,8 +74,8 @@ func (m *Medium) AddWiFi(w WiFiInterferer) {
 // The returned *rand.Rand is NOT synchronised: it must only be used
 // from the single goroutine that drives this medium's waveform
 // deliveries (Deliver, DeliverChunks, Replay all draw from it).
-// Seed-parameterised deliveries — DeliverVirtual and the symbol/frame
-// fidelity tiers of Channel — never touch this stream, which is what
+// Seed-parameterised deliveries — the symbol and frame fidelity tiers
+// of Channel — never touch this stream, which is what
 // makes them safe to call concurrently with per-call seeds.
 func (m *Medium) Rand() *rand.Rand {
 	return m.rnd

@@ -6,21 +6,18 @@ import (
 )
 
 // TestVirtualSuccessProbGolden pins the frame-level success probability
-// of the virtual delivery path at its edge cases — zero-length PSDU,
+// of the frame-tier delivery path at its edge cases — zero-length PSDU,
 // extreme SNR at both ends, the adjacent-channel penalty and two
 // mid-curve operating points — so any change to the underlying model
 // shows up as a reviewable golden diff rather than a silent shift in
 // every mesh simulation's loss rate.
 //
-// The goldens are probed through DeliverVirtual's SuccessProb (the
-// public surface), not the internal probability function, so the test
-// survives the model being swapped out as long as the swap is
-// deliberate and the goldens are updated alongside it.
+// The goldens are probed through the channel's SuccessProb (the public
+// surface), not the internal probability function, so the test survives
+// the model being swapped out as long as the swap is deliberate and the
+// goldens are updated alongside it.
 func TestVirtualSuccessProbGolden(t *testing.T) {
-	m, err := NewMedium(16e6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := frameTier(t, 1)
 	cases := []struct {
 		name   string
 		psdu   int
@@ -56,7 +53,7 @@ func TestVirtualSuccessProbGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out := m.DeliverVirtual(c.psdu, 2420, c.rxFreq, Link{SNRdB: c.snr}, 1)
+			out := deliverLen(t, ch, c.psdu, c.rxFreq, c.snr, 1)
 			if !out.InBand {
 				t.Fatalf("delivery unexpectedly out of band")
 			}
@@ -72,12 +69,9 @@ func TestVirtualSuccessProbGolden(t *testing.T) {
 // frame length (longer frames can only be likelier to fail), and the
 // adjacent-channel path is never better than co-channel.
 func TestVirtualSuccessProbShape(t *testing.T) {
-	m, err := NewMedium(16e6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := frameTier(t, 1)
 	prob := func(psdu int, snr, rxFreq float64) float64 {
-		return m.DeliverVirtual(psdu, 2420, rxFreq, Link{SNRdB: snr}, 1).SuccessProb
+		return deliverLen(t, ch, psdu, rxFreq, snr, 1).SuccessProb
 	}
 	snrs := []float64{-60, -10, 0, 2, 5, 8, 12, 25, 60}
 	for i := 1; i < len(snrs); i++ {

@@ -3,10 +3,10 @@
 // a virtual clock, node actors running 802.15.4 MAC state machines
 // (beaconing, association, CSMA-CA, acknowledgements, PAN-ID conflict
 // resolution), and a shared per-channel medium whose frame-level
-// deliveries come from radio.Medium.DeliverVirtual. A 2-second sensor
-// cadence costs nanoseconds of wall time per period instead of 2
-// seconds, so thousand-node meshes simulate minutes of traffic per
-// wall-clock second.
+// deliveries come from a frame- or symbol-tier radio.Channel. A
+// 2-second sensor cadence costs nanoseconds of wall time per period
+// instead of 2 seconds, so thousand-node meshes simulate minutes of
+// traffic per wall-clock second.
 //
 // Determinism is the load-bearing property: every random draw flows from
 // splitmix64-derived per-node streams (the Monte-Carlo runner's seed

@@ -1,8 +1,9 @@
 #!/bin/sh
 # smoke-campaign: run the attack/defense campaign engine end-to-end on a
 # small sweep — two attack scenarios (plus the benign baseline that
-# rides along) at 20 trials per cell — and assert the ROC matrix digest
-# matches the pinned value at two different worker counts. The digest is
+# rides along) at 20 trials per scenario, each trial scored at every
+# threshold — and assert the ROC matrix digest matches the pinned value
+# at two different worker counts. The digest is
 # a sha256 over the matrix JSON, so this checks the scenario plans, the
 # mesh, the frame-tier IDS model, the Monte-Carlo runner and the
 # reduction all at once, including worker-count independence.
@@ -15,10 +16,10 @@ WORKDIR="$(mktemp -d)"
 BIN="$WORKDIR/wazabeecampaign"
 
 # Pinned for: -scenarios scenario-a-injection,channel-migration
-#             -trials 20 -seed 7 -impact 1 (default thresholds).
+#             -trials 20 -seed 7 (default thresholds).
 # Update only for an intended campaign/simulator behavior change, in
 # lockstep with the goldens in internal/campaign/campaign_test.go.
-WANT="4778b663abffec40601218a32e92b1468f7ac395b1ac5d266fa5ad340a4ae7c7"
+WANT="cd5b5bfbb7948b0b618dc5cc6f00e220b94264831102f348db372009d590111a"
 
 cleanup() {
     rm -rf "$WORKDIR"
@@ -31,7 +32,7 @@ $GO build -o "$BIN" ./cmd/wazabeecampaign
 for WORKERS in 1 4; do
     echo "smoke-campaign: 2 attack scenarios x 20 trials, workers=$WORKERS"
     "$BIN" -scenarios scenario-a-injection,channel-migration \
-        -trials 20 -seed 7 -impact 1 -workers "$WORKERS" \
+        -trials 20 -seed 7 -workers "$WORKERS" \
         -quiet -out "$WORKDIR/roc-$WORKERS.json" >"$WORKDIR/digest-$WORKERS.txt"
     GOT="$(sed -n 's/^digest sha256:\([0-9a-f]*\)$/\1/p' "$WORKDIR/digest-$WORKERS.txt")"
     if [ -z "$GOT" ]; then

@@ -483,9 +483,10 @@ func CampaignScenarioByName(name string) (CampaignScenario, error) {
 	return campaign.ByName(name)
 }
 
-// RunCampaignMatrix executes a campaign sweep — every (scenario,
-// threshold) cell as a deterministic Monte-Carlo point, bit-identical at
-// any worker count. cmd/wazabeecampaign is the CLI front end.
+// RunCampaignMatrix executes a campaign sweep — every scenario's trials
+// as one deterministic Monte-Carlo point, each trial scored at every
+// threshold, bit-identical at any worker count. cmd/wazabeecampaign is
+// the CLI front end.
 func RunCampaignMatrix(ctx context.Context, spec CampaignMatrixSpec) (*CampaignMatrix, error) {
 	return campaign.RunMatrix(ctx, spec)
 }
