@@ -26,12 +26,15 @@ bench:
 	$(GO) run ./cmd/benchjson -in bench.out -out BENCH.json -history BENCH_history.jsonl
 
 # Short smoke runs of the native fuzzers: the capture readers must never
-# panic on corrupt pcap/ZEP input, the streaming receiver must decode
-# byte-identically for any fuzzed chunking of a capture, and the 802.15.4
-# and 6LoWPAN parsers must reject hostile input without panicking.
+# panic on corrupt pcap/ZEP/TCP-record input, the streaming receiver must
+# decode byte-identically for any fuzzed chunking of a capture, and the
+# BLE advertising, 802.15.4, Zigbee NWK/APS/ZCL and 6LoWPAN parsers must
+# reject hostile input without panicking.
 fuzz:
+	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzParseAuxAdvInd -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzPCAPRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzZEPDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzReadRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStreamChunks -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment/runner -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParseMACFrame -fuzztime $(FUZZTIME)
@@ -39,6 +42,7 @@ fuzz:
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzOpenFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseZigbeeDataFrame -fuzztime $(FUZZTIME)
 
 # The concurrent per-channel streaming test under the race detector:
 # many RxStreams plus whole-capture calls sharing one Receiver/registry.
@@ -77,9 +81,12 @@ calibrate-check:
 	$(GO) run ./cmd/calibrate -check
 
 # One-shot link diagnostics over the simulated medium: exercises the
-# whole TX → medium → RX → LinkStats path from the CLI.
+# whole TX → medium → RX → LinkStats path from the CLI, then Table III and
+# the PER sweep end to end on the frame tier.
 smoke:
 	$(GO) run ./cmd/wazabee link -frames 5
+	$(GO) run ./cmd/table3 -frames 2 -fidelity frame
+	$(GO) run ./cmd/persweep -frames 2 -fidelity frame
 
 # End-to-end health smoke: boot wazabeed, wait for /readyz to go 200,
 # assert the flight recorder is non-empty, then check the daemon shuts

@@ -297,16 +297,14 @@ func BenchmarkWazaBeeRX(b *testing.B) {
 // BenchmarkSNRSweep measures the extension experiment: the sensitivity
 // knee of the reception primitive (PER at a mid-waterfall SNR).
 func BenchmarkSNRSweep(b *testing.B) {
-	cfg := experiment.SweepConfig{
-		SNRs:           []float64{6},
-		FramesPerPoint: 10,
-		SamplesPerChip: benchSPS,
-		Channel:        14,
-	}
+	cfg := experiment.DefaultConfig()
+	cfg.FramesPerChannel = 10
+	cfg.SamplesPerChip = benchSPS
+	sweep := experiment.SweepConfig{SNRs: []float64{6}, Channel: 14}
 	var per float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		points, err := experiment.RunSweep(cfg, chip.CC1352R1(), experiment.Reception)
+		points, err := experiment.RunSweep(cfg, sweep, chip.CC1352R1(), experiment.Reception)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -322,18 +320,16 @@ func BenchmarkSNRSweep(b *testing.B) {
 // the engine's parallel speedup on multicore hardware.
 func BenchmarkRunnerSweep(b *testing.B) {
 	run := func(b *testing.B, workers int) {
-		cfg := experiment.SweepConfig{
-			SNRs:           []float64{4, 6, 8},
-			FramesPerPoint: 16,
-			SamplesPerChip: benchSPS,
-			Workers:        workers,
-			Channel:        14,
-			Obs:            obs.NewRegistry(),
-		}
+		cfg := experiment.DefaultConfig()
+		cfg.FramesPerChannel = 16
+		cfg.SamplesPerChip = benchSPS
+		cfg.Workers = workers
+		cfg.Obs = obs.NewRegistry()
+		sweep := experiment.SweepConfig{SNRs: []float64{4, 6, 8}, Channel: 14}
 		trials := 0
 		for i := 0; i < b.N; i++ {
 			cfg.Seed = int64(i + 1)
-			points, err := experiment.RunSweep(cfg, chip.CC1352R1(), experiment.Reception)
+			points, err := experiment.RunSweep(cfg, sweep, chip.CC1352R1(), experiment.Reception)
 			if err != nil {
 				b.Fatal(err)
 			}

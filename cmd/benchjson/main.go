@@ -10,6 +10,10 @@
 //
 // Each benchmark line becomes one entry; repeated -count runs of the
 // same benchmark are aggregated (mean over runs, per extra metric too).
+// go test appends a -<GOMAXPROCS> suffix to every benchmark name when
+// GOMAXPROCS > 1 and to none at 1, so the suffix is stripped only when
+// every benchmark line carries the same one; the report records that
+// GOMAXPROCS (1 when no suffix) and the host's CPU count.
 // For statistical comparison across revisions, feed the same bench.out
 // files to benchstat.
 package main
@@ -21,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,19 +51,48 @@ type Result struct {
 }
 
 type report struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the value the benchmarks ran at, read from the name
+	// suffix go test adds.
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// NumCPU is the logical CPU count of the host that wrote the report.
+	NumCPU     int      `json:"num_cpu,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
+}
+
+// procsSuffix returns the -<GOMAXPROCS> suffix go test put on the
+// benchmark names and the GOMAXPROCS it encodes: the trailing -N shared
+// by every name, or "" and 1 when the names do not all end in the same
+// one (a run at GOMAXPROCS=1, whose sub-benchmarks such as workers-4 and
+// workers-8 keep their numbers).
+func procsSuffix(names []string) (string, int) {
+	suffix := ""
+	for i, name := range names {
+		j := strings.LastIndex(name, "-")
+		if j <= 0 {
+			return "", 1
+		}
+		if i == 0 {
+			suffix = name[j:]
+		} else if name[j:] != suffix {
+			return "", 1
+		}
+	}
+	procs, err := strconv.Atoi(strings.TrimPrefix(suffix, "-"))
+	if err != nil || procs < 1 {
+		return "", 1
+	}
+	return suffix, procs
 }
 
 // parse consumes go-test bench output and aggregates per-benchmark sums;
 // header key/value lines (goos:, pkg:, ...) fill the report preamble.
 func parse(r io.Reader) (*report, error) {
 	rep := &report{}
-	sums := map[string]*Result{}
-	var order []string
+	var lines [][]string
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -67,31 +101,34 @@ func parse(r io.Reader) (*report, error) {
 		switch {
 		case strings.HasPrefix(line, "goos:"):
 			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-			continue
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			continue
 		case strings.HasPrefix(line, "pkg:"):
 			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
-			continue
-		}
-
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			continue
-		}
-		// Strip the -<GOMAXPROCS> suffix so counts aggregate by name.
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+		case strings.HasPrefix(line, "Benchmark"):
+			if fields := strings.Fields(line); len(fields) >= 3 {
+				lines = append(lines, fields)
 			}
 		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+
+	names := make([]string, len(lines))
+	for i, fields := range lines {
+		names[i] = fields[0]
+	}
+	var suffix string
+	suffix, rep.GOMAXPROCS = procsSuffix(names)
+
+	sums := map[string]*Result{}
+	var order []string
+	for _, fields := range lines {
+		// Strip the -<GOMAXPROCS> suffix so counts aggregate by name.
+		name := strings.TrimSuffix(fields[0], suffix)
 		iters, err := strconv.ParseFloat(fields[1], 64)
 		if err != nil {
 			continue
@@ -121,9 +158,6 @@ func parse(r io.Reader) (*report, error) {
 				res.Metrics[fields[i+1]] += v
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 
 	sort.Strings(order)
@@ -238,6 +272,7 @@ func run(inPath, outPath, historyPath string) error {
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines found in input")
 	}
+	rep.NumCPU = runtime.NumCPU()
 	if historyPath != "" {
 		if _, err := appendHistory(historyPath, rep, time.Now()); err != nil {
 			return fmt.Errorf("append history: %w", err)

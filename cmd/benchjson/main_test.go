@@ -32,6 +32,9 @@ func TestParseAggregates(t *testing.T) {
 	if len(rep.Benchmarks) != 2 {
 		t.Fatalf("%d benchmarks, want 2", len(rep.Benchmarks))
 	}
+	if rep.GOMAXPROCS != 4 {
+		t.Errorf("gomaxprocs = %d, want 4", rep.GOMAXPROCS)
+	}
 	byName := map[string]Result{}
 	for _, b := range rep.Benchmarks {
 		byName[b.Name] = b
@@ -55,6 +58,52 @@ func TestParseAggregates(t *testing.T) {
 	}
 	if _, err := parse(strings.NewReader("PASS\n")); err != nil {
 		t.Errorf("empty input must parse (error handled by run): %v", err)
+	}
+}
+
+// TestParseGOMAXPROCSSuffix checks that only the suffix go test adds is
+// stripped: at GOMAXPROCS=4 every name ends in -4, at 1 none carries a
+// suffix, and the numbered sub-benchmarks keep their rows either way.
+func TestParseGOMAXPROCSSuffix(t *testing.T) {
+	const oneProc = `BenchmarkRunnerSweep/workers-4 	       2	 500000000 ns/op
+BenchmarkRunnerSweep/workers-8 	       2	 450000000 ns/op
+BenchmarkRunnerSweep/workers-8 	       2	 460000000 ns/op
+BenchmarkRxStream 	     200	    288145 ns/op
+`
+	const fourProcs = `BenchmarkRunnerSweep/workers-4-4 	       2	 500000000 ns/op
+BenchmarkRunnerSweep/workers-8-4 	       2	 450000000 ns/op
+BenchmarkRunnerSweep/workers-8-4 	       2	 460000000 ns/op
+BenchmarkRxStream-4 	     200	    288145 ns/op
+`
+	for _, tt := range []struct {
+		name  string
+		input string
+		procs int
+	}{{"1-proc", oneProc, 1}, {"4-proc", fourProcs, 4}} {
+		rep, err := parse(strings.NewReader(tt.input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.GOMAXPROCS != tt.procs {
+			t.Errorf("%s: gomaxprocs = %d, want %d", tt.name, rep.GOMAXPROCS, tt.procs)
+		}
+		runs := map[string]int{}
+		for _, b := range rep.Benchmarks {
+			runs[b.Name] = b.Runs
+		}
+		want := map[string]int{
+			"BenchmarkRunnerSweep/workers-4": 1,
+			"BenchmarkRunnerSweep/workers-8": 2,
+			"BenchmarkRxStream":              1,
+		}
+		if len(runs) != len(want) {
+			t.Errorf("%s: rows %v, want %v", tt.name, runs, want)
+		}
+		for name, n := range want {
+			if runs[name] != n {
+				t.Errorf("%s: %s runs = %d, want %d (rows %v)", tt.name, name, runs[name], n, runs)
+			}
+		}
 	}
 }
 

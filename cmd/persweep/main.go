@@ -2,8 +2,11 @@
 // rate versus SNR waterfalls for both primitives: where Table III
 // samples one operating point per channel, this sweep locates the
 // sensitivity knee and quantifies the Gaussian-approximation penalty of
-// transmitting through a BLE modulator. Output is CSV; every PER comes
-// with its 95% Wilson interval.
+// transmitting through a BLE modulator. It measures the same modem pair
+// and per-frame trial as Table III, over a clean channel (no WiFi, no
+// CFO) at each SNR in turn. Output is CSV; every PER comes with its 95%
+// Wilson interval, and the lost column is the not_received class of
+// wazabee_sweep_frames_total.
 package main
 
 import (
@@ -41,12 +44,13 @@ func run() error {
 		return err
 	}
 
-	cfg := experiment.DefaultSweepConfig()
-	cfg.FramesPerPoint = *frames
+	cfg := experiment.DefaultConfig()
+	cfg.FramesPerChannel = *frames
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.CIHalfWidth = *ciHalf
 	cfg.Fidelity = fid
+	sweep := experiment.DefaultSweepConfig()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -57,7 +61,7 @@ func run() error {
 			if *checkpoint != "" {
 				cfg.Checkpoint = fmt.Sprintf("%s.%s.%s.json", *checkpoint, model.Name, side)
 			}
-			points, err := experiment.RunSweepContext(ctx, cfg, model, side)
+			points, err := experiment.RunSweepContext(ctx, cfg, sweep, model, side)
 			if err != nil {
 				return err
 			}

@@ -28,6 +28,7 @@ import (
 	"wazabee/internal/chip"
 	"wazabee/internal/core"
 	"wazabee/internal/dsp"
+	"wazabee/internal/experiment"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/obs/link"
@@ -182,9 +183,7 @@ func linkReport(args []string) error {
 	fmt.Printf("%-6s %-10s %9s %9s %10s %6s %9s %5s\n",
 		"frame", "result", "rssi(dB)", "snr(dB)", "cfo(Hz)", "sync", "chip-err", "lqi")
 	for i := 0; i < *frames; i++ {
-		frame := ieee802154.NewDataFrame(uint8(i), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-			zigbee.DefaultSensor, zigbee.SensorPayload(uint16(i)), false)
-		psdu, err := frame.Encode()
+		psdu, err := experiment.Table3PSDU(i)
 		if err != nil {
 			return err
 		}

@@ -123,6 +123,10 @@ func ParseAuxAdvInd(pdu []byte) (advA [6]byte, companyID uint16, data []byte, er
 	}
 	copy(advA[:], pdu[4:10])
 	adLen := int(pdu[12])
+	if adLen < 3 {
+		// The AD structure must at least hold its type and company ID.
+		return advA, 0, nil, fmt.Errorf("ble: AD length %d below the 3-byte manufacturer header", adLen)
+	}
 	if pdu[13] != ADTypeManufacturer {
 		return advA, 0, nil, fmt.Errorf("ble: AD type %#x is not manufacturer data", pdu[13])
 	}

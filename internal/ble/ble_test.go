@@ -563,6 +563,12 @@ func TestParseAuxAdvIndErrors(t *testing.T) {
 	if _, _, _, err := ParseAuxAdvInd(bad); err == nil {
 		t.Error("expected error for non-manufacturer AD type")
 	}
+	// An AD length below the type octet plus the company ID must be
+	// rejected rather than sliced backwards.
+	hostile := []byte{0x37, 0x0f, 0x30, 0x39, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x00, 0xff, 0x30, 0x30, 0x30}
+	if _, _, _, err := ParseAuxAdvInd(hostile); err == nil {
+		t.Error("expected error for AD length below 3")
+	}
 }
 
 func TestAdvExtIndAuxPtrRoundTrip(t *testing.T) {

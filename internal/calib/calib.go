@@ -21,11 +21,11 @@ import (
 
 	"wazabee/internal/chip"
 	"wazabee/internal/dsp"
+	"wazabee/internal/experiment"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/radio"
 	"wazabee/internal/splitmix"
-	"wazabee/internal/zigbee"
 )
 
 // calFreqMHz is the carrier the calibration frames air on. The medium's
@@ -66,75 +66,31 @@ func DefaultOptions() Options {
 	return Options{SamplesPerChip: 8, FramesPerCell: 28, Seed: 1}
 }
 
-// endpoints is the modem pair of one calibration profile.
-type endpoints struct {
-	modulate   func(*ieee802154.PPDU) (dsp.IQ, error)
-	demodulate func(dsp.IQ) (*ieee802154.Demodulated, error)
-}
-
 // profileSpec describes one profile's link flavour and grid axes.
 type profileSpec struct {
 	name string
 	cfo  []float64
 	wifi []float64
 	// build constructs the modem pair (called once per profile).
-	build func(sps int, reg *obs.Registry) (endpoints, error)
+	build func(sps int, reg *obs.Registry) (experiment.ModemPair, error)
 }
 
 // nativeEndpoints is an O-QPSK modem on both ends (the RZUSBStick role,
 // and what every node of the mesh simulator is).
-func nativeEndpoints(sps int, reg *obs.Registry) (endpoints, error) {
+func nativeEndpoints(sps int, reg *obs.Registry) (experiment.ModemPair, error) {
 	phy, err := chip.RZUSBStick().NewZigbeePHY(sps)
 	if err != nil {
-		return endpoints{}, err
+		return experiment.ModemPair{}, err
 	}
 	phy.Obs = reg
-	return endpoints{
-		modulate:   phy.Modulate,
-		demodulate: phy.Demodulate,
-	}, nil
-}
-
-// receptionEndpoints: legitimate 802.15.4 transmitter, diverted BLE
-// chip receiving (Table III's reception column).
-func receptionEndpoints(model chip.Model) func(int, *obs.Registry) (endpoints, error) {
-	return func(sps int, reg *obs.Registry) (endpoints, error) {
-		phy, err := chip.RZUSBStick().NewZigbeePHY(sps)
-		if err != nil {
-			return endpoints{}, err
-		}
-		phy.Obs = reg
-		rx, err := model.NewWazaBeeReceiver(sps)
-		if err != nil {
-			return endpoints{}, err
-		}
-		rx.Obs = reg
-		return endpoints{modulate: phy.Modulate, demodulate: rx.Receive}, nil
-	}
-}
-
-// transmissionEndpoints: diverted BLE chip transmitting, legitimate
-// 802.15.4 radio receiving (Table III's transmission column).
-func transmissionEndpoints(model chip.Model) func(int, *obs.Registry) (endpoints, error) {
-	return func(sps int, reg *obs.Registry) (endpoints, error) {
-		tx, err := model.NewWazaBeeTransmitter(sps)
-		if err != nil {
-			return endpoints{}, err
-		}
-		tx.Obs = reg
-		phy, err := chip.RZUSBStick().NewZigbeePHY(sps)
-		if err != nil {
-			return endpoints{}, err
-		}
-		phy.Obs = reg
-		return endpoints{modulate: tx.Modulate, demodulate: phy.Demodulate}, nil
-	}
+	return experiment.ModemPair{Modulate: phy.Modulate, Demodulate: phy.DemodulateStats}, nil
 }
 
 // profileSpecs enumerates the fitted profiles: the native O-QPSK link of
-// the mesh simulator plus both WazaBee chips on both sides. The CFO axis
-// tops out at each pairing's worst-case crystal budget (1 ppm at f MHz
-// is f Hz, and the experiment draws from ±(txPPM+rxPPM)).
+// the mesh simulator plus both WazaBee chips on both sides, over the
+// modem pairs Table III measures. The CFO axis tops out at each
+// pairing's worst-case crystal budget (1 ppm at f MHz is f Hz, and the
+// experiment draws from ±(txPPM+rxPPM)).
 func profileSpecs() []profileSpec {
 	stick := chip.RZUSBStick()
 	specs := []profileSpec{{
@@ -147,16 +103,14 @@ func profileSpecs() []profileSpec {
 	}}
 	for _, model := range []chip.Model{chip.NRF52832(), chip.CC1352R1()} {
 		maxCFO := (model.CrystalPPM + stick.CrystalPPM) * 2480 // worst channel
-		for _, side := range []string{"reception", "transmission"} {
-			build := receptionEndpoints(model)
-			if side == "transmission" {
-				build = transmissionEndpoints(model)
-			}
+		for _, side := range []experiment.Side{experiment.Reception, experiment.Transmission} {
 			specs = append(specs, profileSpec{
-				name:  radio.CalProfileName(model.Name, side),
-				cfo:   []float64{0, maxCFO / 2, maxCFO},
-				wifi:  wifiGrid,
-				build: build,
+				name: radio.CalProfileName(model.Name, side.String()),
+				cfo:  []float64{0, maxCFO / 2, maxCFO},
+				wifi: wifiGrid,
+				build: func(sps int, reg *obs.Registry) (experiment.ModemPair, error) {
+					return experiment.NewModemPair(model, side, sps, reg)
+				},
 			})
 		}
 	}
@@ -226,9 +180,7 @@ func fitProfile(opts Options, profIdx int, spec profileSpec) (*radio.CalProfile,
 	// so they are synthesised once and reused across every cell.
 	sigs := make([]dsp.IQ, opts.FramesPerCell)
 	for f := range sigs {
-		hdr := ieee802154.NewDataFrame(uint8(f), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-			zigbee.DefaultSensor, zigbee.SensorPayload(uint16(f)), false)
-		psdu, err := hdr.Encode()
+		psdu, err := experiment.Table3PSDU(f)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +188,7 @@ func fitProfile(opts Options, profIdx int, spec profileSpec) (*radio.CalProfile,
 		if err != nil {
 			return nil, err
 		}
-		if sigs[f], err = ep.modulate(ppdu); err != nil {
+		if sigs[f], err = ep.Modulate(ppdu); err != nil {
 			return nil, err
 		}
 	}
@@ -267,7 +219,7 @@ func fitProfile(opts Options, profIdx int, spec profileSpec) (*radio.CalProfile,
 // fitCell measures one grid cell: FramesPerCell independent frames, each
 // over a fresh medium whose every draw flows from the cell-and-frame
 // derived seed (the same isolation discipline as the Table III trials).
-func fitCell(opts Options, reg *obs.Registry, ep endpoints, sigs []dsp.IQ, sampleRate float64,
+func fitCell(opts Options, reg *obs.Registry, ep experiment.ModemPair, sigs []dsp.IQ, sampleRate float64,
 	profIdx, si, ci, wi int, snr, cfo, wifi float64) (radio.CalCell, error) {
 	fails := 0
 	var hist [17]uint64
@@ -295,7 +247,7 @@ func fitCell(opts Options, reg *obs.Registry, ep endpoints, sigs []dsp.IQ, sampl
 		if err != nil {
 			return radio.CalCell{}, err
 		}
-		dem, derr := ep.demodulate(capture)
+		dem, _, derr := ep.Demodulate(capture)
 		if derr != nil {
 			// Sync failures, mid-frame aborts and quality-gate drops all
 			// fold into SyncFail — the symbol tier must not re-apply the

@@ -199,32 +199,8 @@ func (c *Correlator) Best() (Candidate, bool) {
 }
 
 // Sums exposes a phase's symbol sums (read-only; valid until the next
-// Process, Compact or Reset).
+// Process or Reset).
 func (c *Correlator) Sums(phase int) []float64 { return c.phases[phase].sums }
 
 // Len returns the number of retained increments.
 func (c *Correlator) Len() int { return len(c.incs) }
-
-// Compact drops the first n retained increments and re-anchors every
-// phase to the new origin, reprocessing the retained tail in place. The
-// receiver calls it after consuming a decoded frame, so buffer growth
-// is bounded by the frame length rather than the stream length.
-func (c *Correlator) Compact(n int) {
-	if n <= 0 {
-		return
-	}
-	if n >= len(c.incs) {
-		c.Reset()
-		return
-	}
-	kept := copy(c.incs, c.incs[n:])
-	c.incs = c.incs[:kept]
-	for p := range c.phases {
-		ps := &c.phases[p]
-		ps.sums = ps.sums[:0]
-		ps.bits = ps.bits[:0]
-		ps.scan = 0
-		ps.bestPos, ps.bestErrs, ps.has = 0, c.MaxErrors+1, false
-	}
-	c.extend()
-}

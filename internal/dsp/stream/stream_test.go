@@ -192,46 +192,3 @@ func TestCorrelatorMatchesFindPattern(t *testing.T) {
 		c.Close()
 	}
 }
-
-// TestCorrelatorCompact: dropping a consumed prefix must re-anchor the
-// scan so a later pattern is still found at its new offset.
-func TestCorrelatorCompact(t *testing.T) {
-	const sps = 2
-	pattern := []byte{1, 1, 0, 1, 0, 0, 1, 1}
-	mk := func(b byte) float64 {
-		if b == 1 {
-			return 0.5
-		}
-		return -0.5
-	}
-	var incs []float64
-	emit := func(bits ...byte) {
-		for _, b := range bits {
-			for j := 0; j < sps; j++ {
-				incs = append(incs, mk(b))
-			}
-		}
-	}
-	emit(0, 1, 0) // filler
-	emit(pattern...)
-	c := NewCorrelator(nil, pattern, 0, sps)
-	defer c.Close()
-	c.Process(incs)
-	best, ok := c.Best()
-	if !ok || best.Pos != 3 {
-		t.Fatalf("pre-compact candidate %+v ok=%v, want pos 3", best, ok)
-	}
-
-	c.Compact(c.Len())
-	if _, ok := c.Best(); ok {
-		t.Fatal("candidate survived a full compact")
-	}
-	incs = incs[:0]
-	emit(1, 0)
-	emit(pattern...)
-	c.Process(incs)
-	best, ok = c.Best()
-	if !ok || best.Pos != 2 {
-		t.Fatalf("post-compact candidate %+v ok=%v, want pos 2", best, ok)
-	}
-}

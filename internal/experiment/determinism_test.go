@@ -56,28 +56,32 @@ func TestTable3DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// smallSweepConfig is a fast sweep for determinism tests.
-func smallSweepConfig(workers int) SweepConfig {
-	cfg := DefaultSweepConfig()
-	cfg.SNRs = []float64{0, 5, 7, 10}
-	cfg.FramesPerPoint = 10
+// smallSweep is a fast sweep for determinism tests: its run settings
+// and its operating points.
+func smallSweep(workers int) (Config, SweepConfig) {
+	cfg := DefaultConfig()
+	cfg.FramesPerChannel = 10
 	cfg.Seed = 3
 	cfg.Workers = workers
 	cfg.Obs = obs.NewRegistry()
-	return cfg
+	sweep := DefaultSweepConfig()
+	sweep.SNRs = []float64{0, 5, 7, 10}
+	return cfg, sweep
 }
 
 // TestSweepDeterministicAcrossWorkers asserts the PER sweep is
 // byte-identical at any worker count, including the Wilson bounds.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	model := chip.NRF52832()
-	ref, err := RunSweep(smallSweepConfig(1), model, Transmission)
+	cfg, sweep := smallSweep(1)
+	ref, err := RunSweep(cfg, sweep, model, Transmission)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refJSON := mustJSON(t, ref)
 	for _, workers := range []int{4, 8} {
-		res, err := RunSweep(smallSweepConfig(workers), model, Transmission)
+		cfg, sweep := smallSweep(workers)
+		res, err := RunSweep(cfg, sweep, model, Transmission)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,18 +97,18 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // (SNR, frame) makes a point's PER a property of the point alone.
 func TestSweepOrderIndependent(t *testing.T) {
 	model := chip.NRF52832()
-	cfg := smallSweepConfig(2)
-	forward, err := RunSweep(cfg, model, Reception)
+	cfg, sweep := smallSweep(2)
+	forward, err := RunSweep(cfg, sweep, model, Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rev := smallSweepConfig(2)
-	rev.SNRs = make([]float64, len(cfg.SNRs))
-	for i, snr := range cfg.SNRs {
-		rev.SNRs[len(cfg.SNRs)-1-i] = snr
+	revCfg, rev := smallSweep(2)
+	rev.SNRs = make([]float64, len(sweep.SNRs))
+	for i, snr := range sweep.SNRs {
+		rev.SNRs[len(sweep.SNRs)-1-i] = snr
 	}
-	backward, err := RunSweep(rev, model, Reception)
+	backward, err := RunSweep(revCfg, rev, model, Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,8 @@ func TestSweepOrderIndependent(t *testing.T) {
 // TestSweepCarriesWilsonInterval asserts every sweep point reports a
 // well-formed 95% interval around its PER.
 func TestSweepCarriesWilsonInterval(t *testing.T) {
-	points, err := RunSweep(smallSweepConfig(2), chip.NRF52832(), Reception)
+	cfg, sweep := smallSweep(2)
+	points, err := RunSweep(cfg, sweep, chip.NRF52832(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +157,21 @@ func TestSweepCarriesWilsonInterval(t *testing.T) {
 // reference, wherever the cancellation landed.
 func TestSweepCheckpointResume(t *testing.T) {
 	model := chip.NRF52832()
-	ref, err := RunSweep(smallSweepConfig(2), model, Reception)
+	refCfg, sweep := smallSweep(2)
+	ref, err := RunSweep(refCfg, sweep, model, Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	interrupted := smallSweepConfig(2)
+	interrupted, _ := smallSweep(2)
 	interrupted.Checkpoint = path
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	partial, perr := RunSweepContext(ctx, interrupted, model, Reception)
+	partial, perr := RunSweepContext(ctx, interrupted, sweep, model, Reception)
 	cancel()
 
 	var final []SweepPoint
@@ -173,9 +179,9 @@ func TestSweepCheckpointResume(t *testing.T) {
 		if !errors.Is(perr, context.Canceled) {
 			t.Fatalf("interrupted sweep: %v", perr)
 		}
-		resumed := smallSweepConfig(2)
+		resumed, _ := smallSweep(2)
 		resumed.Checkpoint = path
-		final, err = RunSweep(resumed, model, Reception)
+		final, err = RunSweep(resumed, sweep, model, Reception)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,43 +6,22 @@ import (
 	"strconv"
 
 	"wazabee/internal/chip"
-	"wazabee/internal/dsp"
 	"wazabee/internal/experiment/runner"
 	"wazabee/internal/ieee802154"
-	"wazabee/internal/obs"
-	"wazabee/internal/radio"
 	"wazabee/internal/zigbee"
 )
 
 // SweepMetric is the per-operating-point frame classification counter
 // family of a PER sweep: labels chip, side, snr_db and class
-// (valid | corrupted | lost).
+// (valid | corrupted | not_received).
 const SweepMetric = "wazabee_sweep_frames_total"
-
-// sweepCounter returns the classification counter of one sweep point.
-func sweepCounter(reg *obs.Registry, model chip.Model, side Side, snrDB float64, class string) *obs.Counter {
-	return reg.Counter(SweepMetric,
-		"chip", model.Name,
-		"side", side.String(),
-		"snr_db", strconv.FormatFloat(snrDB, 'g', -1, 64),
-		"class", class)
-}
-
-// sweepClasses is the outcome class set of a sweep trial.
-var sweepClasses = []string{"valid", "corrupted", "lost"}
-
-// sweepPointKey is the runner point key of one operating point; the
-// 'g'/-1 format round-trips float64 exactly, so distinct SNRs always get
-// distinct keys (and distinct trial seed streams).
-func sweepPointKey(snrDB float64) string {
-	return "snr" + strconv.FormatFloat(snrDB, 'g', -1, 64)
-}
 
 // SweepPoint is one operating point of a packet-error-rate sweep.
 type SweepPoint struct {
 	SNRdB float64
-	// Frames is the number of frames the point measured (FramesPerPoint,
-	// unless adaptive stopping ended the point early).
+	// Frames is the number of frames the point measured
+	// (Config.FramesPerChannel, unless adaptive stopping ended the point
+	// early).
 	Frames int
 	// PER is the packet error rate (anything but a valid frame counts
 	// as an error).
@@ -55,268 +34,73 @@ type SweepPoint struct {
 	LossRate      float64
 }
 
-// SweepConfig parameterises a PER-versus-SNR sweep, an extension beyond
-// the paper's single operating point: it locates the sensitivity knee of
-// each primitive and quantifies the Gaussian-approximation penalty of
-// the transmission side.
+// SweepConfig names the operating points of a PER-versus-SNR sweep, an
+// extension beyond the paper's single operating point: it locates the
+// sensitivity knee of each primitive and quantifies the
+// Gaussian-approximation penalty of the transmission side. The run
+// settings come from a Config.
 type SweepConfig struct {
 	// SNRs lists the operating points in dB.
 	SNRs []float64
-	// FramesPerPoint is the number of frames per operating point.
-	FramesPerPoint int
-	// SamplesPerChip is the oversampling factor.
-	SamplesPerChip int
-	// Workers bounds the Monte-Carlo worker pool; <= 0 means
-	// runtime.GOMAXPROCS. Results do not depend on the value.
-	Workers int
-	// Checkpoint, when non-empty, persists completed trial shards to
-	// this path for cancellation/resume.
-	Checkpoint string
-	// CIHalfWidth, when > 0, stops each operating point once the 95%
-	// Wilson half-width of its PER reaches this target, instead of
-	// always spending FramesPerPoint frames.
-	CIHalfWidth float64
-	// Seed drives all randomness: every frame's noise derives from
-	// (Seed, SNR point, frame index) alone, so a point's result does not
-	// depend on which other points the sweep contains or on their order.
-	Seed int64
 	// Channel is the Zigbee channel to run on.
 	Channel int
-	// Obs, when non-nil, receives the sweep's telemetry (per-point
-	// classification counters plus pipeline metrics), merged in when the
-	// sweep completes. Nil merges into the process default registry.
-	Obs *obs.Registry
-	// Fidelity selects the frame-delivery tier (zero means FidelityIQ);
-	// see Config.Fidelity.
-	Fidelity radio.Fidelity
 }
 
 // DefaultSweepConfig covers the interesting 0–14 dB region.
 func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
-		SNRs:           []float64{0, 2, 4, 5, 6, 7, 8, 10, 12, 14},
-		FramesPerPoint: 50,
-		SamplesPerChip: 8,
-		Seed:           1,
-		Channel:        zigbee.DefaultChannel,
+		SNRs:    []float64{0, 2, 4, 5, 6, 7, 8, 10, 12, 14},
+		Channel: zigbee.DefaultChannel,
 	}
 }
 
 // RunSweep measures PER versus SNR with a background context. See
 // RunSweepContext.
-func RunSweep(cfg SweepConfig, model chip.Model, side Side) ([]SweepPoint, error) {
-	return RunSweepContext(context.Background(), cfg, model, side)
+func RunSweep(cfg Config, sweep SweepConfig, model chip.Model, side Side) ([]SweepPoint, error) {
+	return RunSweepContext(context.Background(), cfg, sweep, model, side)
 }
 
-// RunSweepContext measures PER versus SNR for one chip model and side
-// over a clean channel (no WiFi, no CFO — pure sensitivity) on the
-// sharded Monte-Carlo runner. Each (SNR, frame) pair runs on its own
-// freshly seeded medium, so a point's PER is a property of the point — it
-// cannot shift when the SNR list is reordered, extended, or split across
-// workers. The per-point tallies live as counters on the run's registry;
-// the returned points carry 95% Wilson intervals on PER.
-func RunSweepContext(ctx context.Context, cfg SweepConfig, model chip.Model, side Side) ([]SweepPoint, error) {
-	if len(cfg.SNRs) == 0 || cfg.FramesPerPoint < 1 {
+// RunSweepContext measures PER versus SNR for one chip model and side on
+// the link Table III measures, over a clean channel: no WiFi, no CFO,
+// pure sensitivity. Each (SNR, frame) pair runs on its own freshly
+// seeded medium, so a point's PER is a property of the point — it cannot
+// shift when the SNR list is reordered, extended, or split across
+// workers. The returned points carry 95% Wilson intervals on PER.
+//
+// cfg supplies the run settings: FramesPerChannel frames per SNR point,
+// SamplesPerChip, Workers, Checkpoint, CIHalfWidth, Seed, Obs, Link
+// (aggregated under sweep.Channel) and Fidelity. Its link fields SNRdB,
+// WiFi, WiFiDutyCycle and WiFiPower are not read: each point sets its
+// own SNR and the sweep's channel is clean.
+func RunSweepContext(ctx context.Context, cfg Config, sweep SweepConfig, model chip.Model, side Side) ([]SweepPoint, error) {
+	if len(sweep.SNRs) == 0 {
 		return nil, fmt.Errorf("experiment: empty sweep configuration")
 	}
-	if side != Reception && side != Transmission {
-		return nil, fmt.Errorf("experiment: invalid side %d", int(side))
+	if _, err := ieee802154.ChannelFrequencyMHz(sweep.Channel); err != nil {
+		return nil, err
 	}
-	freq, err := ieee802154.ChannelFrequencyMHz(cfg.Channel)
+	points := make([]linkPoint, len(sweep.SNRs))
+	for i, snr := range sweep.SNRs {
+		// The 'g'/-1 format round-trips float64 exactly, so distinct SNRs
+		// always get distinct keys (and distinct trial seed streams).
+		points[i] = linkPoint{label: strconv.FormatFloat(snr, 'g', -1, 64), channel: sweep.Channel, snrDB: snr}
+	}
+	prs, err := runLink(ctx, cfg, sweepStudy, model, side, points)
 	if err != nil {
 		return nil, err
 	}
-	// Validate the chip/side combination once up front, so a
-	// misconfigured model is an error rather than a 100% loss column.
-	switch side {
-	case Reception:
-		_, err = model.NewWazaBeeReceiver(cfg.SamplesPerChip)
-	case Transmission:
-		_, err = model.NewWazaBeeTransmitter(cfg.SamplesPerChip)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	reg := obs.NewRegistry()
-	points := make([]runner.Point, len(cfg.SNRs))
-	snrOf := make(map[string]float64, len(cfg.SNRs))
-	for i, snr := range cfg.SNRs {
-		key := sweepPointKey(snr)
-		points[i] = runner.Point{Key: key, Trials: cfg.FramesPerPoint}
-		snrOf[key] = snr
-	}
-	spec := runner.Spec{
-		Name:       "persweep/" + model.Name + "/" + side.String(),
-		Seed:       cfg.Seed,
-		Points:     points,
-		Workers:    cfg.Workers,
-		Classes:    sweepClasses,
-		Checkpoint: cfg.Checkpoint,
-		Obs:        reg,
-	}
-	if cfg.CIHalfWidth > 0 {
-		// Wilson intervals of p and 1-p mirror each other with equal
-		// width, so stopping on the valid rate's half-width is exactly
-		// stopping on the PER half-width.
-		spec.Stop = &runner.Stop{Class: "valid", HalfWidth: cfg.CIHalfWidth}
-	}
-
-	res, err := runner.Run(ctx, spec, func(ctx context.Context, seed int64, point runner.Point, frame int) (runner.Outcome, error) {
-		class, err := sweepTrial(cfg, reg, model, side, freq, snrOf[point.Key], seed, frame)
-		if err != nil {
-			return runner.Outcome{}, err
-		}
-		return runner.Outcome{Class: class}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]SweepPoint, len(res.Points))
-	for i, pr := range res.Points {
-		snr := snrOf[pr.Point.Key]
-		for _, class := range sweepClasses {
-			sweepCounter(reg, model, side, snr, class).Add(uint64(pr.Counts[class]))
-		}
+	out := make([]SweepPoint, len(prs))
+	for i, pr := range prs {
 		n := float64(pr.Trials)
 		point := SweepPoint{
-			SNRdB:         snr,
+			SNRdB:         points[i].snrDB,
 			Frames:        pr.Trials,
 			CorruptedRate: float64(pr.Counts["corrupted"]) / n,
-			LossRate:      float64(pr.Counts["lost"]) / n,
+			LossRate:      float64(pr.Counts["not_received"]) / n,
 		}
 		point.PER = point.CorruptedRate + point.LossRate
-		point.PERLo, point.PERHi = runner.Wilson(pr.Counts["corrupted"]+pr.Counts["lost"], pr.Trials)
+		point.PERLo, point.PERHi = runner.Wilson(pr.Counts["corrupted"]+pr.Counts["not_received"], pr.Trials)
 		out[i] = point
 	}
-	if err := obs.Or(cfg.Obs).Merge(reg); err != nil {
-		return nil, err
-	}
 	return out, nil
-}
-
-// sweepTrial measures one frame at one operating point on a medium
-// seeded from the trial's derived seed alone, routed through
-// radio.Channel at the configured fidelity tier (a clean channel: no
-// WiFi, no CFO — pure sensitivity).
-func sweepTrial(cfg SweepConfig, reg *obs.Registry, model chip.Model, side Side, freq, snr float64, seed int64, frame int) (string, error) {
-	medium, err := radio.NewMedium(float64(cfg.SamplesPerChip)*ieee802154.ChipRate, seed)
-	if err != nil {
-		return "", err
-	}
-	medium.Obs = reg
-
-	frameHdr := ieee802154.NewDataFrame(uint8(frame), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-		zigbee.DefaultSensor, zigbee.SensorPayload(uint16(frame)), false)
-	psdu, err := frameHdr.Encode()
-	if err != nil {
-		return "", err
-	}
-
-	var rxNF float64
-	switch side {
-	case Reception:
-		rxNF = model.NoiseFigureDB
-	case Transmission:
-		rxNF = chip.RZUSBStick().NoiseFigureDB
-	}
-	link := radio.Link{
-		SNRdB:       snr - rxNF,
-		LeadSamples: 30 * cfg.SamplesPerChip,
-		LagSamples:  15 * cfg.SamplesPerChip,
-	}
-
-	fid := cfg.Fidelity
-	if fid == 0 {
-		fid = radio.FidelityIQ
-	}
-	var ch radio.Channel
-	if fid == radio.FidelityIQ {
-		ep, eperr := sweepEndpoints(cfg, reg, model, side)
-		if eperr != nil {
-			return "", eperr
-		}
-		ch, err = medium.Channel(fid, radio.ChannelOptions{Endpoints: ep})
-	} else {
-		ch, err = medium.Channel(fid, radio.ChannelOptions{
-			Profile: radio.CalProfileName(model.Name, side.String()),
-		})
-	}
-	if err != nil {
-		return "", err
-	}
-
-	out, err := ch.Deliver(radio.FrameSpec{
-		PSDU:      psdu,
-		TxFreqMHz: freq,
-		RxFreqMHz: freq,
-		Link:      link,
-		Seed:      uint64(seed),
-	})
-	if err != nil {
-		return "", err
-	}
-	switch {
-	case out.DecodeErr != nil:
-		return "lost", nil
-	case out.Valid:
-		return "valid", nil
-	default:
-		return "corrupted", nil
-	}
-}
-
-// sweepEndpoints builds the IQ-tier modem pair of one sweep trial.
-func sweepEndpoints(cfg SweepConfig, reg *obs.Registry, model chip.Model, side Side) (*radio.IQEndpoints, error) {
-	zigbeePHY, err := chip.RZUSBStick().NewZigbeePHY(cfg.SamplesPerChip)
-	if err != nil {
-		return nil, err
-	}
-	zigbeePHY.Obs = reg
-	modulate := func(phyMod func(*ieee802154.PPDU) (dsp.IQ, error)) func([]byte) (dsp.IQ, error) {
-		return func(psdu []byte) (dsp.IQ, error) {
-			ppdu, err := ieee802154.NewPPDU(psdu)
-			if err != nil {
-				return nil, err
-			}
-			return phyMod(ppdu)
-		}
-	}
-	switch side {
-	case Reception:
-		rx, err := model.NewWazaBeeReceiver(cfg.SamplesPerChip)
-		if err != nil {
-			return nil, err
-		}
-		rx.Obs = reg
-		return &radio.IQEndpoints{
-			Modulate: modulate(zigbeePHY.Modulate),
-			Demodulate: func(capture dsp.IQ) ([]byte, error) {
-				dem, err := rx.Receive(capture)
-				if err != nil {
-					return nil, err
-				}
-				return dem.PPDU.PSDU, nil
-			},
-		}, nil
-	case Transmission:
-		tx, err := model.NewWazaBeeTransmitter(cfg.SamplesPerChip)
-		if err != nil {
-			return nil, err
-		}
-		tx.Obs = reg
-		return &radio.IQEndpoints{
-			Modulate: modulate(tx.Modulate),
-			Demodulate: func(capture dsp.IQ) ([]byte, error) {
-				dem, err := zigbeePHY.Demodulate(capture)
-				if err != nil {
-					return nil, err
-				}
-				return dem.PPDU.PSDU, nil
-			},
-		}, nil
-	default:
-		return nil, fmt.Errorf("experiment: invalid side %d", int(side))
-	}
 }

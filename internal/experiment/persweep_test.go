@@ -7,17 +7,23 @@ import (
 )
 
 func TestRunSweepValidation(t *testing.T) {
-	cfg := DefaultSweepConfig()
-	cfg.SNRs = nil
-	if _, err := RunSweep(cfg, chip.NRF52832(), Reception); err == nil {
+	cfg := DefaultConfig()
+	sweep := DefaultSweepConfig()
+	sweep.SNRs = nil
+	if _, err := RunSweep(cfg, sweep, chip.NRF52832(), Reception); err == nil {
 		t.Error("expected error for empty SNR list")
 	}
-	cfg = DefaultSweepConfig()
-	if _, err := RunSweep(cfg, chip.NRF52832(), Side(9)); err == nil {
+	sweep = DefaultSweepConfig()
+	if _, err := RunSweep(cfg, sweep, chip.NRF52832(), Side(9)); err == nil {
 		t.Error("expected error for invalid side")
 	}
-	cfg.Channel = 99
-	if _, err := RunSweep(cfg, chip.NRF52832(), Reception); err == nil {
+	cfg.FramesPerChannel = 0
+	if _, err := RunSweep(cfg, sweep, chip.NRF52832(), Reception); err == nil {
+		t.Error("expected error for zero frames")
+	}
+	cfg = DefaultConfig()
+	sweep.Channel = 99
+	if _, err := RunSweep(cfg, sweep, chip.NRF52832(), Reception); err == nil {
 		t.Error("expected error for invalid channel")
 	}
 }
@@ -25,14 +31,10 @@ func TestRunSweepValidation(t *testing.T) {
 func TestSweepMonotoneShape(t *testing.T) {
 	// PER must be high in the noise floor and (near) zero at high SNR,
 	// with a knee in between — the waterfall every receiver exhibits.
-	cfg := SweepConfig{
-		SNRs:           []float64{0, 8, 16},
-		FramesPerPoint: 12,
-		SamplesPerChip: 8,
-		Seed:           3,
-		Channel:        14,
-	}
-	points, err := RunSweep(cfg, chip.CC1352R1(), Reception)
+	cfg := DefaultConfig()
+	cfg.FramesPerChannel = 12
+	cfg.Seed = 3
+	points, err := RunSweep(cfg, SweepConfig{SNRs: []float64{0, 8, 16}, Channel: 14}, chip.CC1352R1(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +57,15 @@ func TestSweepTransmissionNeedsMoreSNRThanIdeal(t *testing.T) {
 	// some sensitivity: at a mid-knee SNR the WazaBee TX (nRF52832,
 	// m = 0.52) must show at least as many errors as the native O-QPSK
 	// reception path at the same point.
-	cfg := SweepConfig{
-		SNRs:           []float64{7},
-		FramesPerPoint: 30,
-		SamplesPerChip: 8,
-		Seed:           4,
-		Channel:        14,
-	}
-	rx, err := RunSweep(cfg, chip.CC1352R1(), Reception)
+	cfg := DefaultConfig()
+	cfg.FramesPerChannel = 30
+	cfg.Seed = 4
+	sweep := SweepConfig{SNRs: []float64{7}, Channel: 14}
+	rx, err := RunSweep(cfg, sweep, chip.CC1352R1(), Reception)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := RunSweep(cfg, chip.NRF52832(), Transmission)
+	tx, err := RunSweep(cfg, sweep, chip.NRF52832(), Transmission)
 	if err != nil {
 		t.Fatal(err)
 	}

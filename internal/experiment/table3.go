@@ -14,33 +14,21 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 
 	"wazabee/internal/chip"
-	"wazabee/internal/dsp"
 	"wazabee/internal/experiment/runner"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	oblink "wazabee/internal/obs/link"
 	"wazabee/internal/radio"
-	"wazabee/internal/zigbee"
 )
 
 // FramesMetric is the per-channel frame classification counter family
 // of a Table III run: labels chip, side, channel and class
 // (valid | corrupted | not_received).
 const FramesMetric = "wazabee_experiment_frames_total"
-
-// frameCounter returns the classification counter of one Table III cell.
-func frameCounter(reg *obs.Registry, model chip.Model, side Side, channel int, class string) *obs.Counter {
-	return reg.Counter(FramesMetric,
-		"chip", model.Name,
-		"side", side.String(),
-		"channel", strconv.Itoa(channel),
-		"class", class)
-}
 
 // Side selects which WazaBee primitive the run assesses.
 type Side int
@@ -66,9 +54,13 @@ func (s Side) String() string {
 	}
 }
 
-// Config parameterises a Table III run.
+// Config parameterises a run over the WazaBee link: Table III, and the
+// run settings of a PER sweep (see RunSweepContext for the fields the
+// sweep does not read).
 type Config struct {
-	// FramesPerChannel is 100 in the paper.
+	// FramesPerChannel is the frame budget of each operating point: of
+	// each Zigbee channel in Table III (100 in the paper), of each SNR in
+	// a sweep.
 	FramesPerChannel int
 	// SamplesPerChip is the baseband oversampling factor.
 	SamplesPerChip int
@@ -79,11 +71,11 @@ type Config struct {
 	// path: a cancelled run can resume from it and finish bit-identically
 	// to an uninterrupted one.
 	Checkpoint string
-	// CIHalfWidth, when > 0, stops each channel adaptively once the 95%
-	// Wilson half-width of its valid rate reaches this target, instead of
-	// always spending FramesPerChannel frames.
+	// CIHalfWidth, when > 0, stops each operating point adaptively once
+	// the 95% Wilson half-width of its valid rate reaches this target,
+	// instead of always spending FramesPerChannel frames.
 	CIHalfWidth float64
-	// Obs, when non-nil, receives the run's telemetry: the per-channel
+	// Obs, when non-nil, receives the run's telemetry: the per-point
 	// classification counters plus everything the instrumented pipeline
 	// underneath (core, radio, ieee802154) reports. Each run accumulates
 	// into a private registry and merges it in at the end, so a shared
@@ -192,9 +184,6 @@ func (r *Result) Row(channel int) (ChannelResult, bool) {
 	return ChannelResult{}, false
 }
 
-// table3Classes is the outcome class set of a Table III trial.
-var table3Classes = []string{"valid", "corrupted", "not_received"}
-
 // Run executes the Table III experiment for one chip model and side with
 // a background context. See RunContext.
 func Run(cfg Config, model chip.Model, side Side) (*Result, error) {
@@ -202,265 +191,34 @@ func Run(cfg Config, model chip.Model, side Side) (*Result, error) {
 }
 
 // RunContext executes the Table III experiment for one chip model and
-// side on the sharded Monte-Carlo runner: (channel, frame) work items on
-// a bounded worker pool, every frame's randomness derived from
-// (Seed, channel, frame) so the rows are reproducible regardless of
-// parallelism and scheduling. Cancelling ctx stops the sweep; with
-// cfg.Checkpoint set, the completed shards survive for resume.
+// side: cfg.FramesPerChannel frames on each of the 16 Zigbee channels,
+// each frame's randomness derived from (Seed, channel, frame) so the rows
+// are reproducible regardless of parallelism and scheduling. Cancelling
+// ctx stops the run; with cfg.Checkpoint set, the completed shards
+// survive for resume.
 func RunContext(ctx context.Context, cfg Config, model chip.Model, side Side) (*Result, error) {
-	if cfg.FramesPerChannel < 1 {
-		return nil, fmt.Errorf("experiment: frames per channel %d < 1", cfg.FramesPerChannel)
-	}
-	if side != Reception && side != Transmission {
-		return nil, fmt.Errorf("experiment: invalid side %d", int(side))
-	}
-	// Validate the chip/side combination up front (one shared attempt)
-	// so misconfiguration surfaces as an error, not sixteen of them.
-	var err error
-	switch side {
-	case Reception:
-		_, err = model.NewWazaBeeReceiver(cfg.SamplesPerChip)
-	case Transmission:
-		_, err = model.NewWazaBeeTransmitter(cfg.SamplesPerChip)
-	}
-	if err != nil {
-		return nil, err
-	}
-
 	channels := ieee802154.Channels()
-	// All telemetry of the run — the per-channel classification
-	// counters and everything the pipeline underneath reports — lands
-	// in a run-local registry, then merges into the caller's registry
-	// once the run is known good.
-	runReg := obs.NewRegistry()
-	points := make([]runner.Point, len(channels))
-	channelOf := make(map[string]int, len(channels))
+	points := make([]linkPoint, len(channels))
 	for i, channel := range channels {
-		key := "ch" + strconv.Itoa(channel)
-		points[i] = runner.Point{Key: key, Trials: cfg.FramesPerChannel}
-		channelOf[key] = channel
+		points[i] = linkPoint{label: strconv.Itoa(channel), channel: channel, snrDB: cfg.SNRdB}
 	}
-	spec := runner.Spec{
-		Name:       "table3/" + model.Name + "/" + side.String(),
-		Seed:       cfg.Seed,
-		Points:     points,
-		Workers:    cfg.Workers,
-		Classes:    table3Classes,
-		Checkpoint: cfg.Checkpoint,
-		Obs:        runReg,
-	}
-	if cfg.CIHalfWidth > 0 {
-		spec.Stop = &runner.Stop{Class: "valid", HalfWidth: cfg.CIHalfWidth}
-	}
-
-	res, err := runner.Run(ctx, spec, func(ctx context.Context, seed int64, point runner.Point, frame int) (runner.Outcome, error) {
-		class, err := table3Trial(cfg, runReg, model, side, channelOf[point.Key], seed, frame)
-		if err != nil {
-			return runner.Outcome{}, err
-		}
-		return runner.Outcome{Class: class}, nil
-	})
+	prs, err := runLink(ctx, cfg, table3Study, model, side, points)
 	if err != nil {
 		return nil, err
 	}
-
 	result := &Result{
 		Chip:   model.Name,
 		Side:   side,
 		Frames: cfg.FramesPerChannel,
-		Rows:   make([]ChannelResult, len(channels)),
+		Rows:   make([]ChannelResult, len(prs)),
 	}
-	for i, pr := range res.Points {
-		channel := channelOf[pr.Point.Key]
+	for i, pr := range prs {
 		result.Rows[i] = ChannelResult{
-			Channel:     channel,
+			Channel:     points[i].channel,
 			Valid:       pr.Counts["valid"],
 			Corrupted:   pr.Counts["corrupted"],
 			NotReceived: pr.Counts["not_received"],
 		}
-		// The per-channel counters mirror the runner tallies, keeping the
-		// registry the queryable record of the run.
-		for _, class := range table3Classes {
-			frameCounter(runReg, model, side, channel, class).Add(uint64(pr.Counts[class]))
-		}
-	}
-	if err := obs.Or(cfg.Obs).Merge(runReg); err != nil {
-		return nil, err
 	}
 	return result, nil
-}
-
-// table3Trial measures one Table III frame: one transmission over a
-// fresh medium whose every random draw — noise, burst timing, CFO,
-// interference gating — flows from the trial's derived seed and nothing
-// else. That isolation is what makes the cell independent of which
-// worker, and in which order, ran it.
-//
-// Delivery routes through radio.Channel at the configured fidelity
-// tier. The per-trial operating point (medium, WiFi environment, CFO
-// draw) is built identically for every tier, so the symbol and frame
-// tiers measure the same grid the IQ tier does — just through the
-// calibrated tables instead of the DSP chain.
-func table3Trial(cfg Config, reg *obs.Registry, model chip.Model, side Side, channel int, seed int64, frame int) (string, error) {
-	sampleRate := float64(cfg.SamplesPerChip) * ieee802154.ChipRate
-	medium, err := radio.NewMedium(sampleRate, seed)
-	if err != nil {
-		return "", err
-	}
-	medium.Obs = reg
-	if cfg.WiFi {
-		burst := cfg.SamplesPerChip * 100 // ≈ a short WiFi frame
-		for _, wifiChannel := range []int{6, 11} {
-			w, err := radio.NewWiFiInterferer(wifiChannel, cfg.WiFiDutyCycle, cfg.WiFiPower, burst)
-			if err != nil {
-				return "", err
-			}
-			medium.AddWiFi(w)
-		}
-	}
-
-	freq, err := ieee802154.ChannelFrequencyMHz(channel)
-	if err != nil {
-		return "", err
-	}
-
-	// The paper's frames carry a counter incremented with each frame.
-	counter := uint16(frame)
-	frameHdr := ieee802154.NewDataFrame(uint8(frame), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-		zigbee.DefaultSensor, zigbee.SensorPayload(counter), false)
-	psdu, err := frameHdr.Encode()
-	if err != nil {
-		return "", err
-	}
-
-	stick := chip.RZUSBStick()
-	var rxNF, rxRej, txPPM, rxPPM float64
-	switch side {
-	case Reception:
-		rxNF = model.NoiseFigureDB
-		rxRej = model.InterferenceRejectionDB
-		txPPM, rxPPM = stick.CrystalPPM, model.CrystalPPM
-	case Transmission:
-		rxNF = stick.NoiseFigureDB
-		rxRej = stick.InterferenceRejectionDB
-		txPPM, rxPPM = model.CrystalPPM, stick.CrystalPPM
-	}
-
-	// The CFO draw is the first consumption of the medium's seeded
-	// stream on every tier, keeping the IQ results byte-identical to the
-	// pre-Channel implementation and giving the calibrated tiers the
-	// same per-trial operating point.
-	cfoHz := (medium.Rand().Float64()*2 - 1) * (txPPM + rxPPM) * freq // 1 ppm at f MHz = f Hz
-	link := radio.Link{
-		SNRdB:                   cfg.SNRdB - rxNF,
-		CFOHz:                   cfoHz,
-		LeadSamples:             40 * cfg.SamplesPerChip,
-		LagSamples:              20 * cfg.SamplesPerChip,
-		InterferenceRejectionDB: rxRej,
-	}
-
-	fid := cfg.Fidelity
-	if fid == 0 {
-		fid = radio.FidelityIQ
-	}
-	var ch radio.Channel
-	var st *oblink.Stats
-	if fid == radio.FidelityIQ {
-		ep, eperr := table3Endpoints(cfg, reg, model, side, &st)
-		if eperr != nil {
-			return "", eperr
-		}
-		ch, err = medium.Channel(fid, radio.ChannelOptions{Endpoints: ep})
-	} else {
-		ch, err = medium.Channel(fid, radio.ChannelOptions{
-			Profile: radio.CalProfileName(model.Name, side.String()),
-		})
-	}
-	if err != nil {
-		return "", err
-	}
-
-	out, err := ch.Deliver(radio.FrameSpec{
-		PSDU:      psdu,
-		TxFreqMHz: freq,
-		RxFreqMHz: freq,
-		Link:      link,
-		Seed:      uint64(seed),
-	})
-	if err != nil {
-		return "", err
-	}
-	if cfg.Link != nil && st != nil {
-		cfg.Link.Observe(channel, st)
-	}
-
-	switch {
-	case errors.Is(out.DecodeErr, ieee802154.ErrNoSync):
-		return "not_received", nil
-	case out.DecodeErr != nil:
-		return "", out.DecodeErr
-	case out.Valid:
-		return "valid", nil
-	default:
-		return "corrupted", nil
-	}
-}
-
-// table3Endpoints builds the IQ-tier modem pair of one trial: the
-// legitimate RZUSBStick O-QPSK modem on one end and the diverted BLE
-// chip's WazaBee primitive on the other, with the receiver's link
-// diagnostics captured into *stats for the run's aggregator.
-func table3Endpoints(cfg Config, reg *obs.Registry, model chip.Model, side Side, stats **oblink.Stats) (*radio.IQEndpoints, error) {
-	zigbeePHY, err := chip.RZUSBStick().NewZigbeePHY(cfg.SamplesPerChip)
-	if err != nil {
-		return nil, err
-	}
-	zigbeePHY.Obs = reg
-	modulate := func(phyMod func(*ieee802154.PPDU) (dsp.IQ, error)) func([]byte) (dsp.IQ, error) {
-		return func(psdu []byte) (dsp.IQ, error) {
-			ppdu, err := ieee802154.NewPPDU(psdu)
-			if err != nil {
-				return nil, err
-			}
-			return phyMod(ppdu)
-		}
-	}
-	switch side {
-	case Reception:
-		wazaRX, err := model.NewWazaBeeReceiver(cfg.SamplesPerChip)
-		if err != nil {
-			return nil, err
-		}
-		wazaRX.Obs = reg
-		return &radio.IQEndpoints{
-			Modulate: modulate(zigbeePHY.Modulate),
-			Demodulate: func(capture dsp.IQ) ([]byte, error) {
-				dem, st, err := wazaRX.ReceiveStats(capture)
-				*stats = st
-				if err != nil {
-					return nil, err
-				}
-				return dem.PPDU.PSDU, nil
-			},
-		}, nil
-	case Transmission:
-		wazaTX, err := model.NewWazaBeeTransmitter(cfg.SamplesPerChip)
-		if err != nil {
-			return nil, err
-		}
-		wazaTX.Obs = reg
-		return &radio.IQEndpoints{
-			Modulate: modulate(wazaTX.Modulate),
-			Demodulate: func(capture dsp.IQ) ([]byte, error) {
-				dem, st, err := zigbeePHY.DemodulateStats(capture)
-				*stats = st
-				if err != nil {
-					return nil, err
-				}
-				return dem.PPDU.PSDU, nil
-			},
-		}, nil
-	default:
-		return nil, fmt.Errorf("experiment: invalid side %d", int(side))
-	}
 }
