@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build vet test race racestream racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke calibrate calibrate-check ci
+.PHONY: build vet test race racestream racerunner racesim determinism bench fuzz smoke smoke-health smoke-sim campaign-smoke examples calibrate calibrate-check ci
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,9 @@ bench:
 # panic on corrupt pcap/ZEP/TCP-record input, the streaming receiver must
 # decode byte-identically for any fuzzed chunking of a capture, and the
 # BLE advertising, 802.15.4, Zigbee NWK/APS/ZCL and 6LoWPAN parsers must
-# reject hostile input without panicking.
+# reject hostile input without panicking, and the mesh simulator must
+# absorb any intruder-injected MAC frame with its energy ledger,
+# counters and digest intact.
 fuzz:
 	$(GO) test ./internal/ble -run '^$$' -fuzz FuzzParseAuxAdvInd -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -run '^$$' -fuzz FuzzPCAPRoundTrip -fuzztime $(FUZZTIME)
@@ -43,6 +45,7 @@ fuzz:
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseZigbeeDataFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/zigbee/sim -run '^$$' -fuzz FuzzIntruderFrame -fuzztime $(FUZZTIME)
 
 # The concurrent per-channel streaming test under the race detector:
 # many RxStreams plus whole-capture calls sharing one Receiver/registry.
@@ -107,4 +110,10 @@ smoke-sim:
 campaign-smoke:
 	./scripts/smoke-campaign.sh
 
-ci: vet build test race racestream racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke
+# Every example program end to end, checking the scenario outcomes: the
+# tracker's spoofed readings are acknowledged, and the hardened network
+# rejects both the AT injection and the spoof once secured.
+examples:
+	./scripts/smoke-examples.sh
+
+ci: vet build test race racestream racerunner racesim determinism calibrate-check fuzz smoke smoke-health smoke-sim campaign-smoke examples

@@ -24,6 +24,7 @@ import (
 	"wazabee/internal/modsim"
 	"wazabee/internal/obs"
 	"wazabee/internal/zigbee"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 const benchSPS = 8
@@ -173,7 +174,7 @@ func BenchmarkFigure3Waveform(b *testing.B) {
 // events until CSA#2 lands on the target channel).
 func BenchmarkScenarioA(b *testing.B) {
 	frame := ieee802154.NewDataFrame(0x2a, zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-		zigbee.DefaultSensor, zigbee.SensorPayload(0x1337), false)
+		zigbee.DefaultSensor, vsim.ReadingPayload(0x1337, 0), false)
 	psdu, err := frame.Encode()
 	if err != nil {
 		b.Fatal(err)
@@ -195,7 +196,7 @@ func BenchmarkScenarioA(b *testing.B) {
 		if _, err := phone.InjectFrame(sim, zigbee.DefaultChannel, ppdu, 500); err != nil {
 			b.Fatal(err)
 		}
-		if last, ok := sim.Coordinator.LastReading(); ok && last.Value == 0x1337 {
+		if d := sim.Network.Display(zigbee.CoordinatorNode); len(d) > 0 && d[len(d)-1].Value == 0x1337 {
 			injected++
 		}
 	}

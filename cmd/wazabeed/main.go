@@ -46,7 +46,6 @@ type config struct {
 	channel      int
 	chunk        int // 0 = whole-capture mode
 	periods      int // 0 = run until the context is cancelled
-	fidelity     string
 	pcapPath     string
 	pcapMaxBytes int64
 	listenTCP    string
@@ -106,7 +105,6 @@ func registerFlags(flag *flag.FlagSet, cfg *config) {
 	flag.DurationVar(&cfg.interval, "interval", 250*time.Millisecond, "sensor reporting interval")
 	flag.IntVar(&cfg.channel, "channel", zigbee.DefaultChannel, "802.15.4 channel to sniff")
 	flag.IntVar(&cfg.chunk, "chunk", 0, "feed the receiver IQ slabs of this many samples via the streaming pipeline (0 = whole-capture mode)")
-	flag.StringVar(&cfg.fidelity, "fidelity", "iq", "victim-to-victim delivery tier: iq (full DSP), symbol or frame (calibrated draws; the attacker capture stays IQ)")
 	flag.IntVar(&cfg.periods, "periods", 0, "stop after this many reporting periods (0 = run until interrupted)")
 	flag.StringVar(&cfg.pcapPath, "pcap", "wazabee.pcap", "rotating pcap output path (empty disables)")
 	flag.Int64Var(&cfg.pcapMaxBytes, "pcap-max-bytes", 16<<20, "rotate the pcap file beyond this size (0 = never)")
@@ -245,15 +243,6 @@ func (d *daemon) run(ctx context.Context, out io.Writer) error {
 	network, err := wazabee.NewVictimNetwork(cfg.seed, cfg.sps, cfg.snrDB)
 	if err != nil {
 		return err
-	}
-	if cfg.fidelity != "" { // empty = the zero-value config's IQ default
-		fid, err := wazabee.ParseFidelity(cfg.fidelity)
-		if err != nil {
-			return err
-		}
-		if err := network.SetFidelity(fid); err != nil {
-			return err
-		}
 	}
 	var live *zigbee.LiveNetwork
 	if cfg.chunk > 0 {

@@ -11,6 +11,7 @@ import (
 
 	"wazabee"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/zigbee"
 )
 
 const sps = 8
@@ -58,14 +59,14 @@ func attackOnce(network *wazabee.VictimNetwork, label string) error {
 	if err := tracker.InjectChannelChange(info, sensor, 25); err != nil {
 		fmt.Println("AT inject:   REJECTED —", err)
 	} else {
-		fmt.Printf("AT inject:   sensor moved to channel %d (DoS)\n", network.Sensor.Channel)
+		fmt.Println("AT inject:   sensor retuned to channel 25, detached from the network (DoS)")
 	}
 
 	if err := tracker.SpoofData(info, sensor, 6666); err != nil {
 		fmt.Println("spoof:       REJECTED —", err)
 	} else {
-		last, _ := network.Coordinator.LastReading()
-		fmt.Printf("spoof:       coordinator displays forged value %d\n", last.Value)
+		display := network.Network.Display(zigbee.CoordinatorNode)
+		fmt.Printf("spoof:       coordinator displays forged value %d\n", display[len(display)-1].Value)
 	}
 	fmt.Println()
 	return nil

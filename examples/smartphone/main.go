@@ -18,6 +18,7 @@ import (
 	"wazabee/internal/core"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/zigbee"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 const (
@@ -57,7 +58,7 @@ func run() error {
 	fmt.Printf("advertising-PDU overhead before attacker data: %d bytes\n", ble.AuxAdvIndOverhead)
 	for i, value := range []uint16{2222, 3333, 4444} {
 		frame := wazabee.NewDataFrame(uint8(40+i), zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-			zigbee.DefaultSensor, zigbee.SensorPayload(value), false)
+			zigbee.DefaultSensor, vsim.ReadingPayload(value, 0), false)
 		psdu, err := frame.Encode()
 		if err != nil {
 			return err
@@ -74,10 +75,11 @@ func run() error {
 	}
 
 	fmt.Println("\ncoordinator display log:")
-	for _, r := range network.Coordinator.Readings {
+	display := network.Network.Display(zigbee.CoordinatorNode)
+	for _, r := range display {
 		fmt.Printf("  from %#04x seq %3d: value %d\n", r.Src, r.Seq, r.Value)
 	}
-	if last, ok := network.Coordinator.LastReading(); ok && last.Value == 4444 {
+	if len(display) > 0 && display[len(display)-1].Value == 4444 {
 		fmt.Println("\nall forged data packets accepted by the legitimate coordinator")
 	}
 	return nil

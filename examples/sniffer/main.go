@@ -25,6 +25,7 @@ import (
 	"wazabee/internal/capture"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/zigbee"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 const (
@@ -201,7 +202,7 @@ func logRecord(period int, rec capture.Record) {
 		return
 	}
 	value := "-"
-	if v, err := zigbee.ParseSensorPayload(frame.Payload); err == nil {
+	if v, _, ok := vsim.ParseReading(frame.Payload); ok {
 		value = fmt.Sprintf("%d", v)
 	}
 	fmt.Printf("period %d: %v seq=%3d PAN=%#04x %#04x->%#04x value=%s LQI=%d FCS=%v\n",

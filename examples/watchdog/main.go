@@ -21,6 +21,7 @@ import (
 	"wazabee/internal/ids"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/zigbee"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 const sps = 8
@@ -69,7 +70,7 @@ func run() error {
 		return err
 	}
 	frame := wazabee.NewDataFrame(9, zigbee.DefaultPAN, zigbee.DefaultCoordinator,
-		zigbee.DefaultSensor, zigbee.SensorPayload(6666), false)
+		zigbee.DefaultSensor, vsim.ReadingPayload(6666, 0), false)
 	psdu, err := frame.Encode()
 	if err != nil {
 		return err

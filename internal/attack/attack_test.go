@@ -8,6 +8,7 @@ import (
 	"wazabee/internal/chip"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/zigbee"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 const testSPS = 8
@@ -37,6 +38,27 @@ func newSim(t *testing.T, seed int64) *zigbee.Simulation {
 		t.Fatal(err)
 	}
 	return sim
+}
+
+// lastReading returns the coordinator's most recent display entry.
+func lastReading(sim *zigbee.Simulation) (vsim.Reading, bool) {
+	d := sim.Network.Display(zigbee.CoordinatorNode)
+	if len(d) == 0 {
+		return vsim.Reading{}, false
+	}
+	return d[len(d)-1], true
+}
+
+// assertDetached checks the forged channel change took: the sensor left
+// the PAN, counted as one channel migration.
+func assertDetached(t *testing.T, sim *zigbee.Simulation) {
+	t.Helper()
+	if sim.Network.Node(zigbee.SensorNode).Joined {
+		t.Error("sensor still joined after the AT injection")
+	}
+	if got := sim.Network.Stats().ChannelMigrations; got != 1 {
+		t.Errorf("ChannelMigrations = %d, want 1", got)
+	}
 }
 
 func TestNewTrackerValidation(t *testing.T) {
@@ -79,9 +101,7 @@ func TestActiveScanFindsNetwork(t *testing.T) {
 
 func TestActiveScanEmptyBand(t *testing.T) {
 	sim := newSim(t, 3)
-	// Move the whole network off every scanned channel.
-	sim.Sensor.Channel = 26
-	sim.Coordinator.Channel = 26
+	// The network runs on channel 14, off every scanned channel.
 	tracker := newTracker(t, sim)
 
 	_, err := tracker.ActiveScan([]int{11, 12, 13})
@@ -124,9 +144,7 @@ func TestInjectChannelChange(t *testing.T) {
 	if err := tracker.InjectChannelChange(info, zigbee.DefaultSensor, 20); err != nil {
 		t.Fatal(err)
 	}
-	if sim.Sensor.Channel != 20 {
-		t.Errorf("sensor channel = %d, want 20 after AT injection", sim.Sensor.Channel)
-	}
+	assertDetached(t, sim)
 
 	if err := tracker.InjectChannelChange(info, zigbee.DefaultSensor, 99); err == nil {
 		t.Error("expected error for invalid target channel")
@@ -144,7 +162,7 @@ func TestSpoofData(t *testing.T) {
 	if err := tracker.SpoofData(info, zigbee.DefaultSensor, 0x7777); err != nil {
 		t.Fatal(err)
 	}
-	last, ok := sim.Coordinator.LastReading()
+	last, ok := lastReading(sim)
 	if !ok || last.Value != 0x7777 || last.Src != zigbee.DefaultSensor {
 		t.Errorf("coordinator reading = %+v, %v", last, ok)
 	}
@@ -169,11 +187,9 @@ func TestScenarioBFullAttack(t *testing.T) {
 	}
 	// The sensor was pushed off the network channel (denial of
 	// service)...
-	if sim.Sensor.Channel != 25 {
-		t.Errorf("sensor channel = %d, want 25", sim.Sensor.Channel)
-	}
+	assertDetached(t, sim)
 	// ...and the display now shows the attacker's fake values.
-	readings := sim.Coordinator.Readings
+	readings := sim.Network.Display(zigbee.CoordinatorNode)
 	if len(readings) < 3 {
 		t.Fatalf("coordinator recorded %d readings, want at least 3", len(readings))
 	}
@@ -196,7 +212,7 @@ func TestScenarioASmartphoneInjection(t *testing.T) {
 	}
 
 	// The forged frame mimics a sensor reading.
-	frame := ieee802154.NewDataFrame(0x2a, zigbee.DefaultPAN, zigbee.DefaultCoordinator, zigbee.DefaultSensor, zigbee.SensorPayload(0x1337), false)
+	frame := ieee802154.NewDataFrame(0x2a, zigbee.DefaultPAN, zigbee.DefaultCoordinator, zigbee.DefaultSensor, vsim.ReadingPayload(0x1337, 0), false)
 	psdu, err := frame.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +229,7 @@ func TestScenarioASmartphoneInjection(t *testing.T) {
 	if attempts < 1 {
 		t.Error("injection reported zero advertising events")
 	}
-	last, ok := sim.Coordinator.LastReading()
+	last, ok := lastReading(sim)
 	if !ok || last.Value != 0x1337 {
 		t.Errorf("coordinator reading = %+v, %v — forged packet not accepted", last, ok)
 	}

@@ -38,17 +38,17 @@ func TestScenarioBAgainstSecuredNetwork(t *testing.T) {
 	if err := tracker.InjectChannelChange(info, sensor, 25); err == nil {
 		t.Error("forged AT command succeeded against a secured sensor")
 	}
-	if sim.Sensor.Channel != zigbee.DefaultChannel {
-		t.Errorf("secured sensor moved to channel %d", sim.Sensor.Channel)
+	if !sim.Network.Node(zigbee.SensorNode).Joined {
+		t.Error("secured sensor left the network")
 	}
 
 	// Spoofed readings are rejected: no acknowledgement, nothing on the
 	// display beyond the sensor's own (sealed) reports.
-	before := len(sim.Coordinator.Readings)
+	before := len(sim.Network.Display(zigbee.CoordinatorNode))
 	if err := tracker.SpoofData(info, sensor, 6666); err == nil {
 		t.Error("spoofed reading acknowledged by a secured coordinator")
 	}
-	for _, r := range sim.Coordinator.Readings[before:] {
+	for _, r := range sim.Network.Display(zigbee.CoordinatorNode)[before:] {
 		if r.Value == 6666 {
 			t.Error("forged value reached the secured coordinator's display")
 		}
@@ -67,7 +67,7 @@ func TestSecuredNetworkStillOperates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(sim.Coordinator.Readings) != 3 {
-		t.Errorf("secured network delivered %d/3 readings", len(sim.Coordinator.Readings))
+	if len(sim.Network.Display(zigbee.CoordinatorNode)) != 3 {
+		t.Errorf("secured network delivered %d/3 readings", len(sim.Network.Display(zigbee.CoordinatorNode)))
 	}
 }

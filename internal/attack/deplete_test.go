@@ -2,68 +2,50 @@ package attack
 
 import (
 	"testing"
+	"time"
 
-	"wazabee/internal/ieee802154"
 	"wazabee/internal/zigbee"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
+// TestDepleteEnergyDrainsSensorBattery reads the flood's cost off the
+// victim network's energy ledger: over equal spans of virtual time, the
+// sensor's radio spends at least five times the receive energy under
+// the flood that it spends on routine traffic.
 func TestDepleteEnergyDrainsSensorBattery(t *testing.T) {
 	sim := newSim(t, 61)
-	battery, err := zigbee.NewBattery(1e5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Sensor.Battery = battery
 	tracker := newTracker(t, sim)
 	info := &NetworkInfo{Channel: zigbee.DefaultChannel, PAN: zigbee.DefaultPAN, Coordinator: zigbee.DefaultCoordinator}
+	rxEnergy := func() float64 {
+		var rx [vsim.NumRadioStates]time.Duration
+		rx[vsim.RadioRX] = sim.Network.NodeStats()[zigbee.SensorNode].RadioTime[vsim.RadioRX]
+		return vsim.ProfileCC2652().Microjoules(rx)
+	}
 
-	// Baseline: a few reporting periods cost only TX energy.
+	// Baseline: a few reporting periods of acknowledgements and beacons.
 	for i := 0; i < 3; i++ {
 		if _, err := sim.Step(zigbee.DefaultChannel); err != nil {
 			t.Fatal(err)
 		}
 	}
-	baselineDrain := 1e5 - battery.RemainingMicroJ
-	if baselineDrain <= 0 {
-		t.Fatal("reporting periods consumed no energy")
+	span := sim.Network.Now()
+	baseline := rxEnergy()
+	if baseline <= 0 {
+		t.Fatal("reporting periods consumed no receive energy")
 	}
 
-	// Attack: the same number of radio events drains much faster.
-	before := battery.RemainingMicroJ
+	// Attack over the same span of virtual time.
+	start := sim.Network.Now()
 	if err := tracker.DepleteEnergy(info, zigbee.DefaultSensor, 20); err != nil {
 		t.Fatal(err)
 	}
-	attackDrain := before - battery.RemainingMicroJ
-	if attackDrain < 5*baselineDrain {
-		t.Errorf("attack drain %.0f µJ not dominating baseline %.0f µJ", attackDrain, baselineDrain)
+	if sim.Network.Now() > start+span {
+		t.Fatalf("flood took %v, longer than the %v baseline", sim.Network.Now()-start, span)
 	}
-}
-
-func TestDepleteEnergyCostsCryptoOnSecuredNetwork(t *testing.T) {
-	// The point of [30]: security increases the per-bogus-frame cost.
-	drain := func(secured bool) float64 {
-		sim := newSim(t, 62)
-		if secured {
-			if err := sim.Secure([]byte("sixteen byte key"), ieee802154.SecEncMIC32); err != nil {
-				t.Fatal(err)
-			}
-		}
-		battery, err := zigbee.NewBattery(1e5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Sensor.Battery = battery
-		tracker := newTracker(t, sim)
-		info := &NetworkInfo{Channel: zigbee.DefaultChannel, PAN: zigbee.DefaultPAN, Coordinator: zigbee.DefaultCoordinator}
-		if err := tracker.DepleteEnergy(info, zigbee.DefaultSensor, 15); err != nil {
-			t.Fatal(err)
-		}
-		return 1e5 - battery.RemainingMicroJ
-	}
-	open := drain(false)
-	secured := drain(true)
-	if secured <= open {
-		t.Errorf("secured-network drain %.0f µJ not above open-network drain %.0f µJ", secured, open)
+	sim.Network.Run(start + span)
+	attack := rxEnergy() - baseline
+	if attack < 5*baseline {
+		t.Errorf("flood RX energy %.1f µJ not dominating baseline %.1f µJ over %v", attack, baseline, span)
 	}
 }
 
@@ -76,19 +58,5 @@ func TestDepleteEnergyValidation(t *testing.T) {
 	info := &NetworkInfo{Channel: 14, PAN: 1, Coordinator: 2}
 	if err := tracker.DepleteEnergy(info, 1, 0); err == nil {
 		t.Error("expected error for zero frames")
-	}
-}
-
-func TestBatteryValidation(t *testing.T) {
-	if _, err := zigbee.NewBattery(0); err == nil {
-		t.Error("expected error for zero capacity")
-	}
-	b, err := zigbee.NewBattery(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Drain(25)
-	if !b.Depleted() || b.RemainingMicroJ != 0 {
-		t.Errorf("battery = %+v, want depleted at zero", b)
 	}
 }

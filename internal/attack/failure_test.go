@@ -56,20 +56,21 @@ func TestJoinNetworkQuietChannel(t *testing.T) {
 	// channel where nobody listens, so the association request dies in
 	// noise and the join must fail cleanly, not hang or misparse.
 	sim := newSim(t, 81)
-	sim.Coordinator.PermitJoining = true
+	sim.Network.SetPermitJoin(zigbee.CoordinatorNode, true)
+	granted := grants(sim)
 	tracker := newTracker(t, sim)
 	info := &NetworkInfo{Channel: 22, PAN: zigbee.DefaultPAN, Coordinator: zigbee.DefaultCoordinator}
 	if _, err := tracker.JoinNetwork(info); err == nil {
 		t.Error("join on a quiet channel reported success")
 	}
-	if len(sim.Coordinator.Associated) != 0 {
-		t.Errorf("quiet-channel join still associated: %v", sim.Coordinator.Associated)
+	if len(*granted) != 0 {
+		t.Errorf("quiet-channel join still associated: %v", *granted)
 	}
 }
 
 func TestJoinNetworkMediumCloses(t *testing.T) {
 	sim := newSim(t, 82)
-	sim.Coordinator.PermitJoining = true
+	sim.Network.SetPermitJoin(zigbee.CoordinatorNode, true)
 	air := &flakyAir{inner: sim, n: 0}
 	tracker := newTrackerOn(t, air)
 	info := &NetworkInfo{Channel: zigbee.DefaultChannel, PAN: zigbee.DefaultPAN, Coordinator: zigbee.DefaultCoordinator}

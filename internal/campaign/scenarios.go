@@ -77,7 +77,7 @@ var catalogue = []scenario{
 				seq++
 				reading++
 				frame := ieee802154.NewDataFrame(seq, coord.PAN, coord.Short, victim.Short,
-					[]byte{0x77, byte(reading >> 8), byte(reading), 0}, true)
+					sim.ReadingPayload(reading, 0), true)
 				it.transmit(0, frame, true)
 			})
 		},
@@ -106,7 +106,7 @@ var catalogue = []scenario{
 					frameID++
 					coord := it.nw.Node(0)
 					frame := ieee802154.NewDataFrame(frameID, ni.PAN, ni.Short, coord.Short,
-						[]byte{0x17, frameID, 'C', 'H', 26}, true)
+						[]byte{sim.RemoteATRequest, frameID, 'C', 'H', 26}, true)
 					it.transmit(dev, frame, true)
 					sched.After(400*time.Millisecond, fire)
 				}
@@ -169,7 +169,7 @@ var catalogue = []scenario{
 				// and forwards it to its parent, which acknowledges in
 				// turn — each poll costs the victims three transmissions.
 				frame := ieee802154.NewDataFrame(seq, ni.PAN, ni.Short, coord.Short,
-					[]byte{0x77, 0, byte(seq), 0}, true)
+					sim.ReadingPayload(uint16(seq), 0), true)
 				it.transmit(dev, frame, true)
 			})
 		},

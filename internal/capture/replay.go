@@ -2,7 +2,6 @@ package capture
 
 import (
 	"fmt"
-	"time"
 
 	"wazabee/internal/core"
 	"wazabee/internal/dsp"
@@ -30,10 +29,6 @@ type ReplayConfig struct {
 	// default victim channel, for records whose channel is unknown —
 	// e.g. recovered from a bare pcap).
 	Channel int
-	// TimeScale paces the playback against the records' timestamps:
-	// 1 replays in real time, 0.5 at double speed, 0 (the default) as
-	// fast as possible.
-	TimeScale float64
 	// Obs receives the replay counters and the medium's metrics; nil
 	// falls back to the process default registry.
 	Obs *obs.Registry
@@ -64,15 +59,10 @@ func Replay(records []Record, cfg ReplayConfig, sink func(Record, dsp.IQ) error)
 	medium.Obs = reg
 	link := radio.Link{SNRdB: cfg.SNRdB, CFOHz: cfg.CFOHz, LeadSamples: 200, LagSamples: 120}
 
-	var prev time.Time
 	for _, rec := range records {
 		if len(rec.PSDU) == 0 {
 			continue
 		}
-		if cfg.TimeScale > 0 && !prev.IsZero() && rec.At.After(prev) {
-			time.Sleep(time.Duration(float64(rec.At.Sub(prev)) * cfg.TimeScale))
-		}
-		prev = rec.At
 
 		txChannel := rec.Channel
 		if txChannel == 0 {

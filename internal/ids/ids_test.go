@@ -10,6 +10,7 @@ import (
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
 	"wazabee/internal/zigbee"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 const testSPS = 8
@@ -283,7 +284,7 @@ func TestIDSOnVictimNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-create the attacker waveform as the IDS antenna would hear it.
-	frame := ieee802154.NewDataFrame(1, info.PAN, info.Coordinator, zigbee.DefaultSensor, zigbee.SensorPayload(4242), true)
+	frame := ieee802154.NewDataFrame(1, info.PAN, info.Coordinator, zigbee.DefaultSensor, vsim.ReadingPayload(4242, 0), true)
 	psdu, err := frame.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -174,6 +174,9 @@ func ParseMACFrame(psdu []byte) (*MACFrame, error) {
 		DestMode:       AddrMode((fcf >> 10) & 0x3),
 		SrcMode:        AddrMode((fcf >> 14) & 0x3),
 	}
+	if f.Type > FrameCommand {
+		return nil, fmt.Errorf("ieee802154: reserved frame type %d", f.Type)
+	}
 	if err := checkAddrMode(f.DestMode); err != nil {
 		return nil, err
 	}

@@ -168,8 +168,6 @@ type ChannelOptions struct {
 	// Profile names the calibration profile backing the symbol and frame
 	// tiers (e.g. "nRF52832/reception"); empty means ProfileOQPSK.
 	Profile string
-	// Cal overrides the calibration table; nil uses the embedded default.
-	Cal *CalTable
 	// Endpoints supplies the modem pair; required for FidelityIQ,
 	// ignored otherwise.
 	Endpoints *IQEndpoints
@@ -185,13 +183,9 @@ func (m *Medium) Channel(f Fidelity, opts ChannelOptions) (Channel, error) {
 		}
 		return &iqChannel{m: m, ep: *opts.Endpoints}, nil
 	case FidelitySymbol, FidelityFrame:
-		table := opts.Cal
-		if table == nil {
-			var err error
-			table, err = DefaultCalTable()
-			if err != nil {
-				return nil, err
-			}
+		table, err := DefaultCalTable()
+		if err != nil {
+			return nil, err
 		}
 		name := opts.Profile
 		if name == "" {

@@ -1,24 +1,28 @@
-// Package zigbee emulates the small XBee-based domotic network of the
-// paper's experimental setup (section VI-A): a sensor end device with
+// Package zigbee runs the small XBee-based domotic network of the
+// paper's experimental setup (section VI-A) — a sensor end device with
 // 16-bit address 0x0063 reporting an integer every two seconds to a
-// coordinator 0x0042 on PAN 0x1234, plus the remote AT command mechanism
-// the scenario B attack abuses to push a new channel configuration into
-// the sensor.
+// coordinator 0x0042 on PAN 0x1234 — as a two-node sim.Network behind
+// an IQ adapter, and carries the codecs of the traffic around it: the
+// remote AT command mechanism the scenario B attack abuses to push a new
+// channel configuration into the sensor, and the Zigbee NWK, APS and ZCL
+// layers.
 package zigbee
 
 import (
 	"errors"
 	"fmt"
+
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 // API frame identifiers of the (simplified) XBee application protocol
 // carried inside MAC data frames.
 const (
 	// FrameRemoteAT is a remote AT command request.
-	FrameRemoteAT = 0x17
+	FrameRemoteAT = vsim.RemoteATRequest
 	// FrameRemoteATResponse acknowledges a remote AT command.
-	FrameRemoteATResponse = 0x97
-	// FrameSensorData carries a sensor reading.
+	FrameRemoteATResponse = vsim.RemoteATResponse
+	// FrameSensorData tags the Table III reading payload.
 	FrameSensorData = 0x10
 )
 
@@ -87,15 +91,8 @@ func ParseATResponse(payload []byte) (*ATResponse, error) {
 	}, nil
 }
 
-// SensorPayload encodes a sensor reading for transport.
+// SensorPayload encodes the reading every Table III frame carries.
+// The victim network's own readings use sim.ReadingPayload.
 func SensorPayload(value uint16) []byte {
 	return []byte{FrameSensorData, byte(value), byte(value >> 8)}
-}
-
-// ParseSensorPayload decodes a sensor reading.
-func ParseSensorPayload(payload []byte) (uint16, error) {
-	if len(payload) != 3 || payload[0] != FrameSensorData {
-		return 0, fmt.Errorf("zigbee: payload is not a sensor reading")
-	}
-	return uint16(payload[1]) | uint16(payload[2])<<8, nil
 }

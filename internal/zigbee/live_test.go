@@ -101,9 +101,9 @@ func TestLiveNetworkSurfacesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the sensor so Step fails: an invalid channel makes
-	// channelFreq error out.
-	sim.Sensor.Channel = 99
+	// Sabotage the attacker link so Step fails: the medium rejects
+	// negative padding.
+	sim.AttackerLink.LeadSamples = -1
 	live, err := StartLive(sim, time.Millisecond, DefaultChannel)
 	if err != nil {
 		t.Fatal(err)

@@ -2,186 +2,101 @@ package zigbee
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"wazabee/internal/ieee802154"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 var testNetworkKey = []byte("sixteen byte key")
 
-func securedPair(t *testing.T) (*Sensor, *Coordinator) {
+func securedSim(t *testing.T, seed int64) *Simulation {
 	t.Helper()
-	sensor := NewSensor()
-	coord := NewCoordinator()
-	sctx, err := NewSecurityContext(testNetworkKey, DefaultSensorExt, ieee802154.SecEncMIC64)
-	if err != nil {
+	sim := newTestSim(t, seed)
+	if err := sim.Secure(testNetworkKey, ieee802154.SecEncMIC64); err != nil {
 		t.Fatal(err)
 	}
-	cctx, err := NewSecurityContext(testNetworkKey, DefaultCoordinatorExt, ieee802154.SecEncMIC64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sensor.Security = sctx
-	coord.Security = cctx
-	return sensor, coord
-}
-
-func TestNewSecurityContextValidation(t *testing.T) {
-	if _, err := NewSecurityContext([]byte("short"), 1, ieee802154.SecEncMIC32); err == nil {
-		t.Error("expected error for short key")
-	}
-	if _, err := NewSecurityContext(testNetworkKey, 1, ieee802154.SecNone); err == nil {
-		t.Error("expected error for SecNone level")
-	}
-}
-
-func TestSealOpenRoundTrip(t *testing.T) {
-	a, err := NewSecurityContext(testNetworkKey, 0x1111, ieee802154.SecEncMIC32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSecurityContext(testNetworkKey, 0x2222, ieee802154.SecEncMIC32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("reading 23")
-	sealed, err := a.Seal(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened, err := b.Open(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(opened, payload) {
-		t.Errorf("opened = %q, want %q", opened, payload)
-	}
-}
-
-func TestOpenRejectsReplay(t *testing.T) {
-	a, err := NewSecurityContext(testNetworkKey, 0x1111, ieee802154.SecEncMIC32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSecurityContext(testNetworkKey, 0x2222, ieee802154.SecEncMIC32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed, err := a.Seal([]byte("once"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Open(sealed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Open(sealed); !errors.Is(err, ErrReplay) {
-		t.Errorf("replay returned %v, want ErrReplay", err)
-	}
-}
-
-func TestOpenRejectsGarbage(t *testing.T) {
-	b, err := NewSecurityContext(testNetworkKey, 0x2222, ieee802154.SecEncMIC32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Open([]byte{1, 2, 3}); err == nil {
-		t.Error("expected error for short payload")
-	}
-	bad := make([]byte, auxHeaderLen+8)
-	if _, err := b.Open(bad); err == nil {
-		t.Error("expected error for unprotected level in aux header")
-	}
+	return sim
 }
 
 func TestSecuredSensorToCoordinator(t *testing.T) {
-	sensor, coord := securedPair(t)
-	frame, err := sensor.NextDataFrame()
+	sim := securedSim(t, 11)
+	capture, err := sim.Step(DefaultChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dem, err := sim.PHY.Demodulate(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := ieee802154.ParseMACFrame(dem.PPDU.PSDU)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !frame.Security {
 		t.Fatal("secured sensor did not set the security bit")
 	}
-	if bytes.Contains(frame.Payload, SensorPayload(1)) {
+	if bytes.Contains(frame.Payload, vsim.ReadingPayload(1, 0)) {
 		t.Error("secured payload carries the cleartext reading")
 	}
-	reply, err := coord.Handle(frame)
-	if err != nil {
-		t.Fatal(err)
+	if d := sim.Network.Display(CoordinatorNode); len(d) != 1 || d[0].Value != 1 {
+		t.Errorf("secured reading not recorded: %+v", d)
 	}
-	if len(coord.Readings) != 1 || coord.Readings[0].Value != 1 {
-		t.Errorf("secured reading not recorded: %+v", coord.Readings)
-	}
-	if reply == nil || reply.Type != ieee802154.FrameAck {
-		t.Error("secured data frame not acknowledged")
+	sim.Network.Run(sim.Network.Now() + vsim.ReplyWindow)
+	if acks := sim.Network.Stats().Acks; acks != 1 {
+		t.Errorf("secured data frame acknowledged %d times, want 1", acks)
 	}
 }
 
 func TestSecuredCoordinatorDropsForgedData(t *testing.T) {
-	_, coord := securedPair(t)
+	sim := securedSim(t, 12)
 	// The WazaBee attacker forges a cleartext reading (no key).
-	forged := ieee802154.NewDataFrame(9, coord.PAN, coord.Addr, DefaultSensor, SensorPayload(6666), true)
-	reply, err := coord.Handle(forged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply != nil || len(coord.Readings) != 0 {
-		t.Error("unauthenticated forged reading accepted on a secured PAN")
+	forged := ieee802154.NewDataFrame(9, DefaultPAN, DefaultCoordinator, DefaultSensor, vsim.ReadingPayload(6666, 0), true)
+	if reply := exchange(t, sim, forged); reply != nil {
+		t.Errorf("unauthenticated forged reading answered: %+v", reply)
 	}
 	// Even with the security bit set but a garbage payload.
 	forged.Security = true
-	reply, err = coord.Handle(forged)
-	if err != nil {
-		t.Fatal(err)
+	if reply := exchange(t, sim, forged); reply != nil {
+		t.Errorf("forged secured-looking reading answered: %+v", reply)
 	}
-	if reply != nil || len(coord.Readings) != 0 {
-		t.Error("forged secured-looking reading accepted")
+	for _, r := range sim.Network.Display(CoordinatorNode) {
+		if r.Value == 6666 {
+			t.Error("forged reading displayed on a secured PAN")
+		}
 	}
 }
 
 func TestSecuredSensorDropsForgedATCommand(t *testing.T) {
-	sensor, _ := securedPair(t)
-	cmdPayload, err := (&ATCommand{FrameID: 1, Command: "CH", Param: []byte{20}}).Encode()
-	if err != nil {
-		t.Fatal(err)
+	sim := securedSim(t, 13)
+	if reply := exchange(t, sim, atCommand(t, 1, "CH", 20)); reply != nil {
+		t.Errorf("unauthenticated AT command answered: %+v", reply)
 	}
-	forged := ieee802154.NewDataFrame(1, sensor.PAN, sensor.Addr, sensor.CoordAddr, cmdPayload, false)
-	reply, err := sensor.Handle(forged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply != nil {
-		t.Error("unauthenticated AT command answered")
-	}
-	if sensor.Channel != DefaultChannel {
+	if !sim.Network.Node(SensorNode).Joined {
 		t.Error("unauthenticated AT command applied — the DoS countermeasure failed")
 	}
 }
 
 func TestSecuredSensorAcceptsAuthenticATCommand(t *testing.T) {
-	sensor, coord := securedPair(t)
-	cmdPayload, err := (&ATCommand{FrameID: 2, Command: "CH", Param: []byte{20}}).Encode()
+	sim := securedSim(t, 14)
+	// A device holding the network key seals its command.
+	holder, err := ieee802154.NewSecurityContext(testNetworkKey, vsim.ExtAddrBase|0xff, ieee802154.SecEncMIC64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := coord.Security.Seal(cmdPayload)
-	if err != nil {
+	frame := atCommand(t, 2, "CH", 20)
+	if frame.Payload, err = holder.Seal(frame.Payload); err != nil {
 		t.Fatal(err)
 	}
-	frame := ieee802154.NewDataFrame(2, sensor.PAN, sensor.Addr, sensor.CoordAddr, sealed, false)
 	frame.Security = true
-	reply, err := sensor.Handle(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sensor.Channel != 20 {
-		t.Errorf("authentic AT command not applied (channel %d)", sensor.Channel)
-	}
+	reply := exchange(t, sim, frame)
 	if reply == nil || !reply.Security {
-		t.Error("AT response missing or unsecured")
+		t.Fatalf("AT response missing or unsecured: %+v", reply)
 	}
-	opened, err := coord.Security.Open(reply.Payload)
+	if sim.Network.Node(SensorNode).Joined {
+		t.Error("authentic AT command not applied")
+	}
+	opened, err := holder.Open(reply.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +122,8 @@ func TestSimulationSecure(t *testing.T) {
 	if _, err := sim.Step(DefaultChannel); err != nil {
 		t.Fatal(err)
 	}
-	if len(sim.Coordinator.Readings) != 1 {
-		t.Fatalf("secured network recorded %d readings", len(sim.Coordinator.Readings))
+	if len(sim.Network.Display(CoordinatorNode)) != 1 {
+		t.Fatalf("secured network recorded %d readings", len(sim.Network.Display(CoordinatorNode)))
 	}
 	if err := sim.Secure([]byte("short"), ieee802154.SecEncMIC32); err == nil {
 		t.Error("expected error for bad key")

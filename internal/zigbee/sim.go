@@ -2,46 +2,61 @@ package zigbee
 
 import (
 	"fmt"
+	"time"
 
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/obs"
 	"wazabee/internal/radio"
-	"wazabee/internal/splitmix"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
-// Simulation couples the victim network (sensor + coordinator) to a
-// shared radio medium so that an attacker can interact with it purely
-// through waveforms, the way the scenario B tracker does over the air.
+// Defaults of the experimental setup in section VI-A.
+const (
+	DefaultPAN         = vsim.DefaultPAN
+	DefaultChannel     = vsim.DefaultChannel
+	DefaultCoordinator = 0x0042
+	DefaultSensor      = 0x0063
+	// ReportInterval is the sensor's reporting period.
+	ReportInterval = 2 * time.Second
+)
+
+// Indices of the two victim nodes in Simulation.Network.
+const (
+	CoordinatorNode = 0
+	SensorNode      = 1
+)
+
+// Simulation is the paper's XBee victim network — sensor 0x0063
+// reporting to coordinator 0x0042 on PAN 0x1234, channel 14 — run as a
+// pre-formed two-node sim.Network, with an IQ adapter in front of it so
+// that an attacker interacts with it purely through waveforms, the way
+// the scenario B tracker does over the air. Victim-to-victim traffic
+// runs on the mesh's frame tier; every frame the attacker hears is
+// modulated with the O-QPSK PHY and every frame it sends is demodulated
+// at IQ before a victim MAC sees it.
+//
+// A Simulation is not safe for concurrent use.
 type Simulation struct {
-	Medium      *radio.Medium
-	PHY         *ieee802154.PHY
-	Sensor      *Sensor
-	Coordinator *Coordinator
+	Medium *radio.Medium
+	PHY    *ieee802154.PHY
+	// Network is the victim mesh: node CoordinatorNode and node
+	// SensorNode. Read node state, the energy ledger and the
+	// coordinator's display log through it between calls.
+	Network *vsim.Network
 
 	// AttackerLink describes propagation between the attacker and the
-	// victims; VictimLink the sensor↔coordinator path.
+	// victims.
 	AttackerLink radio.Link
-	VictimLink   radio.Link
 
-	// noiseFloorPower is returned power when the attacker listens to an
-	// idle channel.
-	noiseFloorPower float64
-
-	// vch, when non-nil, replaces the victim-to-victim IQ path with a
-	// calibrated fidelity tier (SetFidelity). The attacker's capture is
-	// always synthesised at IQ fidelity — WazaBee receivers need real
-	// waveforms.
-	vch radio.Channel
-	// vSeq numbers victim deliveries so each draws from its own seed
-	// stream, independent of the medium's shared Rand.
-	vSeq uint64
-	// seed is the medium's seed, retained for victim delivery seeds.
-	seed int64
+	intruder *vsim.Intruder
+	// heard collects the network's transmissions since the last run.
+	heard []vsim.FrameCapture
 }
 
 // NewSimulation builds the default experimental network over a fresh
 // medium: PAN 0x1234, sensor 0x0063 reporting to coordinator 0x0042 on
-// channel 14.
+// channel 14, joined at time zero. The coordinator is closed to joining.
 func NewSimulation(seed int64, samplesPerChip int, snrDB float64) (*Simulation, error) {
 	phy, err := ieee802154.NewPHY(samplesPerChip)
 	if err != nil {
@@ -52,146 +67,113 @@ func NewSimulation(seed int64, samplesPerChip int, snrDB float64) (*Simulation, 
 	if err != nil {
 		return nil, err
 	}
-	link := radio.Link{SNRdB: snrDB, LeadSamples: 200, LagSamples: 120}
-	return &Simulation{
-		Medium:          medium,
-		PHY:             phy,
-		Sensor:          NewSensor(),
-		Coordinator:     NewCoordinator(),
-		AttackerLink:    link,
-		VictimLink:      link,
-		noiseFloorPower: 1e-3,
-		seed:            seed,
-	}, nil
-}
-
-// SetFidelity selects the delivery tier of the sensor→coordinator path.
-// FidelityIQ (the default) synthesises and demodulates the waveform;
-// FidelitySymbol and FidelityFrame replace that with a draw from the
-// calibrated channel model, which skips one demodulation per reporting
-// period. The attacker-facing capture keeps IQ fidelity regardless — the
-// tiers only ever shortcut traffic no attacker observes directly.
-func (s *Simulation) SetFidelity(f radio.Fidelity) error {
-	if f == 0 || f == radio.FidelityIQ {
-		s.vch = nil
-		return nil
-	}
-	ch, err := s.Medium.Channel(f, radio.ChannelOptions{Profile: radio.ProfileOQPSK})
+	topo := vsim.Topology{Nodes: []vsim.NodeSpec{
+		CoordinatorNode: {Role: vsim.RoleCoordinator, Parent: -1, Channel: DefaultChannel, PAN: DefaultPAN, Short: DefaultCoordinator},
+		SensorNode:      {Role: vsim.RoleEndDevice, Parent: CoordinatorNode, Channel: DefaultChannel, PAN: DefaultPAN, Short: DefaultSensor},
+	}}
+	nw, err := vsim.New(topo, vsim.Config{
+		Seed:         seed,
+		SNRdB:        snrDB,
+		DataInterval: ReportInterval,
+		Telemetry:    true,
+		Registry:     obs.NewRegistry(),
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.vch = ch
-	return nil
+	nw.SetPermitJoin(CoordinatorNode, false)
+	intruder, err := nw.NewIntruder(DefaultChannel)
+	if err != nil {
+		return nil, err
+	}
+	s := &Simulation{
+		Medium:       medium,
+		PHY:          phy,
+		Network:      nw,
+		AttackerLink: radio.Link{SNRdB: snrDB, LeadSamples: 200, LagSamples: 120},
+		intruder:     intruder,
+	}
+	nw.Tap(DefaultChannel, func(fc vsim.FrameCapture) { s.heard = append(s.heard, fc) })
+	return s, nil
 }
 
-// victimSeed derives the private seed of one victim-to-victim delivery
-// from the simulation seed and the delivery's sequence number, following
-// the SplitMix64 discipline of internal/zigbee/sim.
-func victimSeed(seed int64, n uint64) uint64 {
-	return splitmix.Mix(splitmix.Mix(uint64(seed)^0x71c7) ^ n)
+// Secure enables CCM* link-layer security on both victim nodes under
+// the shared 16-byte network key — the section VII counter-measure.
+func (s *Simulation) Secure(key []byte, level ieee802154.SecurityLevel) error {
+	for _, i := range []int{CoordinatorNode, SensorNode} {
+		if err := s.Network.Secure(i, key, level); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func channelFreq(channel int) (float64, error) {
 	return ieee802154.ChannelFrequencyMHz(channel)
 }
 
+// noiseFloorPower is the power the attacker hears on an idle channel.
+const noiseFloorPower = 1e-3
+
 // idle returns a noise-only capture of n samples.
 func (s *Simulation) idle(n int) (dsp.IQ, error) {
-	return dsp.NoiseFloor(n, s.noiseFloorPower, s.Medium.Rand())
+	return dsp.NoiseFloor(n, noiseFloorPower, s.Medium.Rand())
 }
 
-// transmitFrame modulates a MAC frame and returns its waveform.
-func (s *Simulation) transmitFrame(f *ieee802154.MACFrame) (dsp.IQ, error) {
-	psdu, err := f.Encode()
+// listen is the attacker's capture of one network transmission on
+// channel: the PSDU modulated with the O-QPSK PHY, through the medium
+// and the attacker link.
+func (s *Simulation) listen(fc vsim.FrameCapture, channel int) (dsp.IQ, error) {
+	rxFreq, err := channelFreq(channel)
 	if err != nil {
 		return nil, err
 	}
-	ppdu, err := ieee802154.NewPPDU(psdu)
+	txFreq, err := channelFreq(fc.Channel)
 	if err != nil {
 		return nil, err
 	}
-	return s.PHY.Modulate(ppdu)
+	ppdu, err := ieee802154.NewPPDU(fc.PSDU)
+	if err != nil {
+		return nil, err
+	}
+	sig, err := s.PHY.Modulate(ppdu)
+	if err != nil {
+		return nil, err
+	}
+	return s.Medium.Deliver(sig, txFreq, rxFreq, s.AttackerLink)
 }
 
-// receiveFrame demodulates a delivered capture into a MAC frame; it
-// returns nil when nothing decodes (sync loss or FCS failure), as a real
-// node would silently drop such traffic.
-func (s *Simulation) receiveFrame(capture dsp.IQ) *ieee802154.MACFrame {
-	dem, err := s.PHY.Demodulate(capture)
-	if err != nil {
-		return nil
-	}
-	frame, err := ieee802154.ParseMACFrame(dem.PPDU.PSDU)
-	if err != nil {
-		return nil
-	}
-	return frame
-}
-
-// Step advances one sensor reporting period: the sensor transmits its
-// reading, the coordinator (when co-channel) receives, records and
-// acknowledges it. The returned capture is what an attacker listening on
-// captureChannel hears during the period.
+// Step runs the network until the sensor's next data frame has gone out
+// and the coordinator's acknowledgement window has passed — by then the
+// coordinator has recorded the reading — and returns what an attacker
+// listening on captureChannel hears of the frame. A reporting period
+// without a sensor frame (a detached sensor) yields a noise-only
+// capture.
 func (s *Simulation) Step(captureChannel int) (dsp.IQ, error) {
-	capFreq, err := channelFreq(captureChannel)
-	if err != nil {
+	if _, err := channelFreq(captureChannel); err != nil {
 		return nil, err
 	}
-	sensorFreq, err := channelFreq(s.Sensor.Channel)
-	if err != nil {
-		return nil, err
-	}
-
-	frame, err := s.Sensor.NextDataFrame()
-	if err != nil {
-		return nil, err
-	}
-	sig, err := s.transmitFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-
-	// Victim-to-victim delivery: through the full IQ path by default, or
-	// through the calibrated tier selected by SetFidelity.
-	if s.Coordinator.Channel == s.Sensor.Channel {
-		var rx *ieee802154.MACFrame
-		if s.vch != nil {
-			psdu, err := frame.Encode()
-			if err != nil {
-				return nil, err
-			}
-			s.vSeq++
-			out, err := s.vch.Deliver(radio.FrameSpec{
-				PSDU:      psdu,
-				TxFreqMHz: sensorFreq,
-				RxFreqMHz: sensorFreq,
-				Link:      s.VictimLink,
-				Seed:      victimSeed(s.seed, s.vSeq),
-			})
-			if err != nil {
-				return nil, err
-			}
-			if out.Delivered() {
-				if f, err := ieee802154.ParseMACFrame(out.PSDU); err == nil {
-					rx = f
-				}
-			}
-		} else {
-			coordCapture, err := s.Medium.Deliver(sig, sensorFreq, sensorFreq, s.VictimLink)
-			if err != nil {
-				return nil, err
-			}
-			rx = s.receiveFrame(coordCapture)
-		}
-		if rx != nil {
-			if _, err := s.Coordinator.Handle(rx); err != nil {
-				return nil, err
+	deadline := s.Network.Now() + ReportInterval + vsim.ReplyWindow
+	s.heard = s.heard[:0]
+	for i := 0; ; {
+		for ; i < len(s.heard); i++ {
+			if fc := s.heard[i]; fc.Src == SensorNode && fc.Kind == "data" {
+				s.Network.Run(s.Network.Now() + ieee802154.AckWaitDuration)
+				return s.listen(fc, captureChannel)
 			}
 		}
+		if at, ok := s.Network.Scheduler().NextAt(); !ok || at > deadline {
+			s.Network.Run(deadline)
+			return s.idle(s.quietSamples())
+		}
+		s.Network.Step()
 	}
+}
 
-	// Attacker's capture of the same transmission.
-	return s.Medium.Deliver(sig, sensorFreq, capFreq, s.AttackerLink)
+// quietSamples is the length of a capture with nothing on the air: the
+// airtime of a maximum-length frame.
+func (s *Simulation) quietSamples() int {
+	return int(ieee802154.FrameDuration(ieee802154.MaxPSDULength).Seconds() * s.Medium.SampleRateHz)
 }
 
 // Capture listens on a channel for one sensor period without injecting
@@ -200,34 +182,17 @@ func (s *Simulation) Capture(channel int) (dsp.IQ, error) {
 	return s.Step(channel)
 }
 
-// Default extended (64-bit) addresses of the victim nodes, used as CCM*
-// nonce sources when the network is secured.
-const (
-	DefaultSensorExt      = 0x00124b0000000063
-	DefaultCoordinatorExt = 0x00124b0000000042
-)
-
-// Secure enables link-layer security on the victim network: both nodes
-// share the 16-byte network key and protect their application payloads
-// with the given CCM* level.
-func (s *Simulation) Secure(key []byte, level ieee802154.SecurityLevel) error {
-	sensorCtx, err := NewSecurityContext(key, DefaultSensorExt, level)
-	if err != nil {
-		return err
-	}
-	coordCtx, err := NewSecurityContext(key, DefaultCoordinatorExt, level)
-	if err != nil {
-		return err
-	}
-	s.Sensor.Security = sensorCtx
-	s.Coordinator.Security = coordCtx
-	return nil
-}
-
-// Exchange transmits an attacker waveform on a channel, lets every victim
-// tuned there react, and returns the attacker's capture of the first
-// reply. A channel with no responding victim returns a noise-only
-// capture, like a real listen window timing out.
+// Exchange transmits an attacker waveform on a channel and returns the
+// attacker's capture of the victims' reply. Every joined node tuned to
+// the channel demodulates the waveform at IQ; the frame reaches the
+// network as one intruder transmission delivered to the nodes that
+// decoded it, and the network runs through the MAC's reply window. The
+// reply is the first frame a recipient puts on the air in answer —
+// its acknowledgement only when nothing else follows, since an
+// association response comes after the acknowledgement of its request.
+// A channel with no node that decodes the frame, or no answer within the
+// window, returns a noise-only capture, like a real listen window timing
+// out.
 func (s *Simulation) Exchange(sig dsp.IQ, channel int) (dsp.IQ, error) {
 	if len(sig) == 0 {
 		return nil, fmt.Errorf("zigbee: empty attacker transmission")
@@ -236,43 +201,49 @@ func (s *Simulation) Exchange(sig dsp.IQ, channel int) (dsp.IQ, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var reply *ieee802154.MACFrame
-	deliverTo := func(nodeChannel int, handle func(*ieee802154.MACFrame) (*ieee802154.MACFrame, error)) error {
-		if nodeChannel != channel {
-			return nil
+	var (
+		frame *ieee802154.MACFrame
+		psdu  []byte
+		to    []int
+	)
+	for _, i := range []int{CoordinatorNode, SensorNode} {
+		if ni := s.Network.Node(i); !ni.Joined || ni.Channel != channel {
+			continue
 		}
 		capture, err := s.Medium.Deliver(sig, freq, freq, s.AttackerLink)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rx := s.receiveFrame(capture)
-		if rx == nil {
-			return nil
-		}
-		resp, err := handle(rx)
+		dem, err := s.PHY.Demodulate(capture)
 		if err != nil {
-			return err
+			continue // no sync: this node heard nothing
 		}
-		if resp != nil && reply == nil {
-			reply = resp
+		f, err := ieee802154.ParseMACFrame(dem.PPDU.PSDU)
+		if err != nil {
+			continue // FCS failure: dropped by the node's radio
 		}
-		return nil
+		if frame == nil {
+			frame, psdu = f, dem.PPDU.PSDU
+		}
+		to = append(to, i)
 	}
-
-	if err := deliverTo(s.Coordinator.Channel, s.Coordinator.Handle); err != nil {
-		return nil, err
-	}
-	if err := deliverTo(s.Sensor.Channel, s.Sensor.Handle); err != nil {
-		return nil, err
-	}
-
-	if reply == nil {
+	if frame == nil {
 		return s.idle(len(sig))
 	}
-	replySig, err := s.transmitFrame(reply)
+	seq, err := s.intruder.Deliver(frame, frame.AckRequest, to...)
 	if err != nil {
 		return nil, err
 	}
-	return s.Medium.Deliver(replySig, freq, freq, s.AttackerLink)
+	s.heard = s.heard[:0]
+	s.Network.Run(s.Network.Now() + ieee802154.FrameDuration(len(psdu)) + vsim.ReplyWindow)
+	var reply *vsim.FrameCapture
+	for i := range s.heard {
+		if fc := &s.heard[i]; fc.InReplyTo == seq && (reply == nil || reply.Kind == "ack" && fc.Kind != "ack") {
+			reply = fc
+		}
+	}
+	if reply == nil {
+		return s.idle(len(sig))
+	}
+	return s.listen(*reply, channel)
 }

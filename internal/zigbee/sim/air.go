@@ -60,18 +60,19 @@ const (
 
 // transmission is one frame in the air.
 type transmission struct {
-	src     int
-	channel int
-	kind    frameKind
-	frame   *ieee802154.MACFrame
-	psdu    []byte // encoded once; immutable after txStart
-	mode    targetMode
-	to      int // recipient node index for targetNode
+	src      int
+	channel  int
+	kind     frameKind
+	mode     targetMode
+	collided bool
+	needAck  bool
+	frame    *ieee802154.MACFrame
+	psdu     []byte // encoded once; immutable after txStart
+	to       int    // recipient node index for targetNode
 
 	seq        uint64 // global capture sequence, assigned at txStart
+	answers    uint64 // Seq of the intruder frame this one replies to, or zero
 	start, end time.Duration
-	collided   bool
-	needAck    bool
 
 	// destOwner is the cell where the frame's receiver lives — the only
 	// cell in which an overlap corrupts this frame. In every other cell

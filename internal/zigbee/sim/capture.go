@@ -29,6 +29,10 @@ type FrameCapture struct {
 	Collided bool
 	// PSDU is the encoded MAC frame.
 	PSDU []byte
+	// InReplyTo is the Seq of the intruder frame this transmission
+	// answers (an acknowledgement, beacon, association or AT response),
+	// zero for the mesh's own traffic.
+	InReplyTo uint64
 }
 
 // Tap registers a synchronous capture callback for one channel. Taps run
@@ -87,13 +91,14 @@ func (nw *Network) publishCapture(tx *transmission) {
 		return
 	}
 	fc := FrameCapture{
-		At:       tx.start,
-		Channel:  tx.channel,
-		Seq:      tx.seq,
-		Src:      tx.src,
-		Kind:     tx.kind.String(),
-		Collided: tx.collided,
-		PSDU:     tx.psdu,
+		At:        tx.start,
+		Channel:   tx.channel,
+		Seq:       tx.seq,
+		Src:       tx.src,
+		Kind:      tx.kind.String(),
+		Collided:  tx.collided,
+		PSDU:      tx.psdu,
+		InReplyTo: tx.answers,
 	}
 	for _, fn := range taps {
 		fn(fc)

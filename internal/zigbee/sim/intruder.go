@@ -67,13 +67,39 @@ func (in *Intruder) Rand() *rand.Rand { return in.rng }
 // Call only from the goroutine driving the event loop (between Run
 // calls or from scheduled callbacks).
 func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) error {
+	_, err := in.send(frame, needAck, to, nil)
+	return err
+}
+
+// Deliver puts a forged frame on the air now whose reception the caller
+// already decided: every node in to demodulated it (at IQ, say). The
+// frame takes Transmit's airtime, collision, deafness, handler and
+// energy paths, but draws nothing from the fidelity tier, and each
+// recipient's MAC address filter applies. It returns the frame's
+// capture Seq, which the victims' replies carry as
+// FrameCapture.InReplyTo.
+func (in *Intruder) Deliver(frame *ieee802154.MACFrame, needAck bool, to ...int) (uint64, error) {
+	if len(to) == 0 {
+		return 0, fmt.Errorf("sim: intruder delivery without recipients")
+	}
+	for _, id := range to[1:] {
+		if id < 0 || id >= len(in.nw.nodes) {
+			return 0, fmt.Errorf("sim: intruder target %d out of range [0,%d)", id, len(in.nw.nodes))
+		}
+	}
+	return in.send(frame, needAck, to[0], to)
+}
+
+// send starts an intruder transmission towards node to. decided, when
+// non-nil, lists the nodes whose reception the caller decided.
+func (in *Intruder) send(frame *ieee802154.MACFrame, needAck bool, to int, decided []int) (uint64, error) {
 	nw := in.nw
 	if to < 0 || to >= len(nw.nodes) {
-		return fmt.Errorf("sim: intruder target %d out of range [0,%d)", to, len(nw.nodes))
+		return 0, fmt.Errorf("sim: intruder target %d out of range [0,%d)", to, len(nw.nodes))
 	}
 	psdu, err := frame.Encode()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	rx := nw.nodes[to]
 	destOwner := to
@@ -100,19 +126,18 @@ func (in *Intruder) Transmit(to int, frame *ieee802154.MACFrame, needAck bool) e
 	nw.noteFrame(tx)
 	nw.stats.Injected++
 	nw.cInjected.Inc()
-	nw.sched.At(tx.end, func() { in.txEnd(tx) })
-	return nil
+	nw.sched.At(tx.end, func() { in.txEnd(tx, decided) })
+	return tx.seq, nil
 }
 
 // txEnd is the intruder's counterpart of the node transmit-end path:
-// take the frame off the air, publish the capture, and deliver it when
-// it survived collision, deafness and the erasure draw. The attacker
-// has no radio-state ledger, so only receiver-side telemetry is
-// charged.
-func (in *Intruder) txEnd(tx *transmission) {
+// take the frame off the air, publish the capture, and deliver it to
+// every recipient it survived collision, deafness and — unless the
+// caller decided reception — the erasure draw for. The attacker has no
+// radio-state ledger, so only receiver-side telemetry is charged.
+func (in *Intruder) txEnd(tx *transmission, decided []int) {
 	nw := in.nw
 	nw.cell(tx.destOwner).remove(tx)
-	now := nw.sched.Now()
 	if tx.collided {
 		nw.stats.Collisions++
 		nw.cCollisions.Inc()
@@ -121,19 +146,17 @@ func (in *Intruder) txEnd(tx *transmission) {
 	if tx.collided {
 		return
 	}
-	rxID := tx.to
-	rx := nw.nodes[rxID]
-	if rx.spec.Channel != tx.channel {
-		return // target tuned elsewhere; nothing hears the forgery
-	}
-	if rx.radioBusyUntil > tx.start {
-		nw.stats.DeafMisses++
-		nw.cDeaf.Inc()
-		if t := nw.tel; t != nil {
-			t.nodes[rxID].deaf++
-			t.link(IntruderSrc, rxID).deaf++
+	if decided != nil {
+		for _, rxID := range decided {
+			if addressed(nw.nodes[rxID], tx.frame) && in.awake(rxID, tx) {
+				in.receive(rxID, tx)
+			}
 		}
 		return
+	}
+	rxID := tx.to
+	if nw.nodes[rxID].spec.Channel != tx.channel || !in.awake(rxID, tx) {
+		return // a target tuned elsewhere hears nothing
 	}
 	f := nw.freq[tx.channel]
 	outcome, err := nw.ch.Deliver(radio.FrameSpec{
@@ -155,14 +178,45 @@ func (in *Intruder) txEnd(tx *transmission) {
 		}
 		return
 	}
+	in.receive(rxID, tx)
+}
+
+// awake reports whether the receiver's half-duplex radio was listening
+// for the whole frame, counting a deaf miss when it was not.
+func (in *Intruder) awake(rxID int, tx *transmission) bool {
+	nw := in.nw
+	if nw.nodes[rxID].radioBusyUntil <= tx.start {
+		return true
+	}
+	nw.stats.DeafMisses++
+	nw.cDeaf.Inc()
+	if t := nw.tel; t != nil {
+		t.nodes[rxID].deaf++
+		t.link(IntruderSrc, rxID).deaf++
+	}
+	return false
+}
+
+// receive hands a received forgery to the victim's MAC, charging the
+// demodulation to its receive ledger.
+func (in *Intruder) receive(rxID int, tx *transmission) {
+	nw := in.nw
 	if t := nw.tel; t != nil {
 		t.nodes[rxID].rx++
 		t.link(IntruderSrc, rxID).delivered++
-		t.radioCharge(rxID, now, tx.end-tx.start, RadioRX)
+		t.radioCharge(rxID, nw.sched.Now(), tx.end-tx.start, RadioRX)
 	}
 	nw.stats.InjectedDelivered++
 	nw.cInjectedDelivered.Inc()
-	nw.handleFrame(rx, tx)
+	nw.handleFrame(nw.nodes[rxID], tx)
+}
+
+// addressed is the MAC destination filter: a frame concerns a node when
+// its destination PAN and short address are the node's or broadcast.
+func addressed(n *node, f *ieee802154.MACFrame) bool {
+	return f.DestMode == ieee802154.AddrShort &&
+		(f.DestPAN == n.pan || f.DestPAN == ieee802154.BroadcastPAN) &&
+		(f.DestAddr == n.short || f.DestAddr == ieee802154.BroadcastAddr)
 }
 
 // intruderKind classifies a forged frame for metrics and capture
@@ -188,18 +242,28 @@ func intruderKind(frame *ieee802154.MACFrame) frameKind {
 	return kindData
 }
 
-// The XBee remote AT command wire format (internal/zigbee's ATCommand;
-// that package builds on this one, so the constants are mirrored here).
+// The XBee remote AT command wire format: a frame-type octet, a frame
+// ID, two command letters and the parameter (internal/zigbee's
+// ATCommand and ATResponse codecs).
 const (
-	remoteATRequest  = 0x17
-	remoteATResponse = 0x97
+	// RemoteATRequest opens a remote AT command.
+	RemoteATRequest = 0x17
+	// RemoteATResponse opens its response, which ends in a status octet.
+	RemoteATResponse = 0x97
+)
+
+// Remote AT response status codes.
+const (
+	atStatusOK           = 0
+	atStatusInvalidParam = 1
+	atStatusUnsupported  = 2
 )
 
 // remoteChannelChange decodes the remote AT "CH" payload the scenario B
 // attack forges: frame type, frame ID, the two command letters and the
 // one-octet new channel.
 func remoteChannelChange(payload []byte) (newChannel int, frameID byte, ok bool) {
-	if len(payload) != 5 || payload[0] != remoteATRequest {
+	if len(payload) != 5 || payload[0] != RemoteATRequest {
 		return 0, 0, false
 	}
 	if payload[2] != 'C' || payload[3] != 'H' {
@@ -208,23 +272,28 @@ func remoteChannelChange(payload []byte) (newChannel int, frameID byte, ok bool)
 	return int(payload[4]), payload[1], true
 }
 
-// applyChannelChange executes a remote AT channel-change on the
-// receiving node — the scenario B channel-migration denial of service.
-// The node obeys its (spoofed) coordinator: it answers with an AT
-// response towards its parent, then retunes, which detaches it from the
-// PAN — nothing on the old channel reaches it again, and it stops
-// reporting. Coordinators ignore remote retunes of their own network.
-func (nw *Network) applyChannelChange(r *node, frameID byte, newChannel int) {
+// handleRemoteAT executes a remote AT command on the receiving node and
+// answers it towards the node's parent. "CH" is the scenario B
+// channel-migration denial of service: the node obeys its (spoofed)
+// coordinator, answers, then retunes, which detaches it from the PAN —
+// nothing on the old channel reaches it again, and it stops reporting.
+// Other commands are answered as unsupported. Coordinators ignore
+// remote AT commands, as do nodes that are not joined.
+func (nw *Network) handleRemoteAT(r *node, tx *transmission, cmd []byte) {
 	if r.spec.Role == RoleCoordinator || r.state != stateJoined {
 		return
 	}
-	if newChannel < ieee802154.FirstChannel || newChannel > ieee802154.LastChannel || newChannel == r.spec.Channel {
+	status, newChannel := byte(atStatusUnsupported), 0
+	if ch, _, ok := remoteChannelChange(cmd); ok && ch >= ieee802154.FirstChannel && ch <= ieee802154.LastChannel {
+		status, newChannel = atStatusOK, ch
+	} else if cmd[2] == 'C' && cmd[3] == 'H' {
+		status = atStatusInvalidParam
+	}
+	frame := r.dataFrame([]byte{RemoteATResponse, cmd[1], cmd[2], cmd[3], status}, false)
+	nw.enqueueTx(r, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: r.parentID, answers: answers(tx)})
+	if newChannel == 0 || newChannel == r.spec.Channel {
 		return
 	}
-	r.seq++
-	resp := []byte{remoteATResponse, frameID, 'C', 'H', 0x00}
-	frame := ieee802154.NewDataFrame(r.seq, r.pan, r.parentShort, r.short, resp, false)
-	nw.enqueueTx(r, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: r.parentID})
 	r.state = stateIdle
 	nw.stats.Joined--
 	nw.stats.ChannelMigrations++

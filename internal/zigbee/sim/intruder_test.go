@@ -68,7 +68,7 @@ func TestIntruderChannelMigrationDetaches(t *testing.T) {
 	coord := nw.Node(0)
 	// The forged remote AT retune, spoofing the coordinator as source.
 	frame := ieee802154.NewDataFrame(9, victim.PAN, victim.Short, coord.Short,
-		[]byte{remoteATRequest, 9, 'C', 'H', 26}, true)
+		[]byte{RemoteATRequest, 9, 'C', 'H', 26}, true)
 	if err := intr.Transmit(1, frame, true); err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestRemoteChannelChangeParsing(t *testing.T) {
 		ok      bool
 		channel int
 	}{
-		{"valid", []byte{remoteATRequest, 3, 'C', 'H', 20}, true, 20},
+		{"valid", []byte{RemoteATRequest, 3, 'C', 'H', 20}, true, 20},
 		{"wrong frame type", []byte{0x10, 3, 'C', 'H', 20}, false, 0},
-		{"wrong command", []byte{remoteATRequest, 3, 'I', 'D', 20}, false, 0},
-		{"short", []byte{remoteATRequest, 3, 'C', 'H'}, false, 0},
-		{"long", []byte{remoteATRequest, 3, 'C', 'H', 20, 0}, false, 0},
+		{"wrong command", []byte{RemoteATRequest, 3, 'I', 'D', 20}, false, 0},
+		{"short", []byte{RemoteATRequest, 3, 'C', 'H'}, false, 0},
+		{"long", []byte{RemoteATRequest, 3, 'C', 'H', 20, 0}, false, 0},
 		{"empty", nil, false, 0},
 	}
 	for _, tc := range cases {
@@ -129,5 +129,27 @@ func TestIntruderDoesNotPerturbCleanRun(t *testing.T) {
 	}
 	if a, b := digest(false), digest(true); a != b {
 		t.Errorf("idle intruder perturbed the run: %s vs %s", a, b)
+	}
+}
+
+// TestIntruderForgedAssociationResponse: an association response from
+// outside the topology has no sender to adopt as parent; the joiner
+// ignores it, as it ignores forged beacons, instead of indexing node -1.
+func TestIntruderForgedAssociationResponse(t *testing.T) {
+	nw, err := New(Star(2), Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intr, err := nw.NewIntruder(DefaultChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := ieee802154.NewAssociationResponse(1, DefaultPAN, ieee802154.NoShortAddress, 5, ieee802154.AssocStatusSuccess)
+	if err := intr.Transmit(1, frame, false); err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(10 * time.Second)
+	if got := nw.Node(1); !got.Joined || got.Short == 5 {
+		t.Errorf("victim after forged response: %+v, want joined through the coordinator", got)
 	}
 }

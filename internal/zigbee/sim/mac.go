@@ -22,7 +22,33 @@ const (
 	// scan up to scanRetryCap.
 	scanRetryBase = 100 * time.Millisecond
 	scanRetryCap  = 5 * time.Second
+	// scanDuration is how long an active scan collects beacons: it
+	// approximates the standard's ScanDuration=3 active scan and rides
+	// out CSMA queueing on a loaded parent.
+	scanDuration = 140 * time.Millisecond
+	// joinSpread is the window over which unjoined nodes begin their
+	// first scan, bounding the association storm.
+	joinSpread = 2 * time.Second
 )
+
+// ReplyWindow bounds how long after a frame ends a node's answer to it
+// has finished going out: the association-response delay, the
+// acknowledgement wait, one CSMA-CA transaction with every backoff at
+// its maximum, and the airtime of a maximum-length frame.
+var ReplyWindow = replyWindow()
+
+func replyWindow() time.Duration {
+	d := assocRespDelay + ieee802154.AckWaitDuration + ieee802154.TurnaroundTime +
+		ieee802154.FrameDuration(ieee802154.MaxPSDULength)
+	be := ieee802154.MinBE
+	for i := 0; i <= ieee802154.MaxCSMABackoffs; i++ {
+		d += time.Duration(1<<be-1)*ieee802154.UnitBackoffPeriod + ieee802154.CCADuration
+		if be < ieee802154.MaxBE {
+			be++
+		}
+	}
+	return d
+}
 
 // ---------------------------------------------------------------------
 // Periodic behaviours
@@ -44,18 +70,60 @@ func (nw *Network) beaconLoop(n *node) {
 func (nw *Network) dataLoop(n *node) {
 	if n.state == stateJoined {
 		n.reading++
-		n.seq++
-		frame := ieee802154.NewDataFrame(n.seq, n.pan, n.parentShort, n.short, sensorPayload(n.reading, 0), true)
+		frame := n.dataFrame(ReadingPayload(n.reading, 0), true)
 		nw.enqueueTx(n, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: n.parentID, needAck: true})
 	}
 	nw.sched.After(nw.cfg.DataInterval, func() { nw.dataLoop(n) })
 }
 
-// sensorPayload encodes a reading the way the live sensor does: a tag
-// octet, the big-endian value and a hop count routers increment while
-// forwarding.
-func sensorPayload(reading uint16, hops uint8) []byte {
-	return []byte{0x77, byte(reading >> 8), byte(reading), hops}
+// dataFrame builds the node's next data frame towards its parent,
+// sealing the payload when the node is secured.
+func (n *node) dataFrame(payload []byte, ackRequest bool) *ieee802154.MACFrame {
+	n.seq++
+	frame := ieee802154.NewDataFrame(n.seq, n.pan, n.parentShort, n.short, payload, ackRequest)
+	if n.security != nil {
+		sealed, err := n.security.Seal(payload)
+		if err != nil {
+			// The context was validated by Secure; sealing cannot fail.
+			panic(err)
+		}
+		frame.Payload = sealed
+		frame.Security = true
+	}
+	return frame
+}
+
+// open returns the application payload of a data frame the node
+// received: the frame's own payload on an open node, the authenticated
+// plaintext on a secured one. ok is false when a secured node must drop
+// the frame.
+func (n *node) open(f *ieee802154.MACFrame) (payload []byte, ok bool) {
+	if n.security == nil {
+		return f.Payload, true
+	}
+	if !f.Security {
+		return nil, false
+	}
+	payload, err := n.security.Open(f.Payload)
+	return payload, err == nil
+}
+
+// ReadingTag opens every sensor reading the mesh carries.
+const ReadingTag = 0x77
+
+// ReadingPayload encodes a sensor reading the way every victim node
+// reports it: the tag octet, the big-endian value and a hop count
+// routers increment while forwarding.
+func ReadingPayload(value uint16, hops uint8) []byte {
+	return []byte{ReadingTag, byte(value >> 8), byte(value), hops}
+}
+
+// ParseReading decodes a ReadingPayload; ok is false for anything else.
+func ParseReading(payload []byte) (value uint16, hops uint8, ok bool) {
+	if len(payload) != 4 || payload[0] != ReadingTag {
+		return 0, 0, false
+	}
+	return uint16(payload[1])<<8 | uint16(payload[2]), payload[3], true
 }
 
 // ---------------------------------------------------------------------
@@ -74,7 +142,7 @@ func (nw *Network) startScan(n *node) {
 	frame := ieee802154.NewBeaconRequest(n.seq)
 	nw.enqueueTx(n, &outgoing{kind: kindBeaconRequest, frame: frame, mode: targetParent})
 	gen := n.joinGen
-	nw.sched.After(nw.cfg.ScanDuration, func() { nw.scanEnd(n, gen) })
+	nw.sched.After(scanDuration, func() { nw.scanEnd(n, gen) })
 }
 
 // scanEnd closes the scan window: pick a parent from the collected
@@ -141,10 +209,18 @@ func (nw *Network) completeJoin(n *node, assigned uint16) {
 		t.noteJoin(n, nw.sched.Now())
 	}
 	nw.noteJoinedGauge()
-	nw.sched.After(nw.jitter(n, nw.cfg.DataInterval), func() { nw.dataLoop(n) })
-	if n.spec.Role == RoleRouter {
+	nw.goLive(n)
+}
+
+// goLive starts a joined node's periodic behaviour: every node but a
+// coordinator reports readings, every node but an end device beacons
+// and admits joiners.
+func (nw *Network) goLive(n *node) {
+	if n.spec.Role != RoleCoordinator {
+		nw.sched.After(nw.jitter(n, nw.cfg.DataInterval), func() { nw.dataLoop(n) })
+	}
+	if n.spec.Role != RoleEndDevice {
 		n.permitJoin = true
-		nw.allocNext[n.id] = 0 // unused; allocation is per root
 		nw.sched.After(nw.jitter(n, nw.cfg.BeaconInterval), func() { nw.beaconLoop(n) })
 	}
 }
@@ -157,8 +233,8 @@ func (nw *Network) allocShort(root int) uint16 {
 	if next == 0 {
 		next = 1
 	}
-	for next == 0x0000 || next >= ieee802154.NoShortAddress {
-		next++ // wrapped: skip reserved values (exhaustion reuses low space)
+	for next == 0x0000 || next >= ieee802154.NoShortAddress || nw.static[next] {
+		next++ // skip reserved and static values (exhaustion reuses low space)
 	}
 	nw.allocNext[root] = next + 1
 	return next
@@ -275,6 +351,7 @@ func (nw *Network) txStart(n *node, out *outgoing, immediate bool) {
 		start:     now,
 		end:       now + ieee802154.FrameDuration(len(out.psdu)),
 		needAck:   out.needAck,
+		answers:   out.answers,
 		destOwner: nw.destCellOwner(n, out),
 	}
 	for _, owner := range nw.cellOwners(n) {
@@ -432,8 +509,7 @@ func (nw *Network) recipients(tx *transmission) []int {
 		if parent < 0 {
 			return nil
 		}
-		p := nw.nodes[parent]
-		if p.state == stateJoined && p.permitJoin {
+		if nw.nodes[parent].state == stateJoined {
 			return []int{parent}
 		}
 		return nil
@@ -471,9 +547,22 @@ func (nw *Network) handleFrame(r *node, tx *transmission) {
 		nw.sendAck(r, tx)
 		nw.handleAssocResponse(r, tx)
 	case kindData:
+		payload, ok := r.open(tx.frame)
+		if !ok {
+			return // a secured node acknowledges only authentic data
+		}
 		nw.sendAck(r, tx)
-		nw.handleData(r, tx)
+		nw.handleData(r, tx, payload)
 	}
+}
+
+// answers returns the Seq a reply to tx carries: tx's own for intruder
+// frames, zero for the mesh's own traffic.
+func answers(tx *transmission) uint64 {
+	if tx.src == IntruderSrc {
+		return tx.seq
+	}
+	return 0
 }
 
 // sendAck transmits the immediate acknowledgement for a received frame:
@@ -484,7 +573,7 @@ func (nw *Network) sendAck(r *node, tx *transmission) {
 	if !tx.needAck {
 		return
 	}
-	ack := &outgoing{kind: kindAck, frame: ieee802154.NewAck(tx.frame.Seq), mode: targetNode, to: tx.src}
+	ack := &outgoing{kind: kindAck, frame: ieee802154.NewAck(tx.frame.Seq), mode: targetNode, to: tx.src, answers: answers(tx)}
 	psdu, err := ack.frame.Encode()
 	if err != nil {
 		return
@@ -567,15 +656,15 @@ func (nw *Network) txFailed(n *node, out *outgoing) {
 	}
 }
 
-// handleBeaconRequest answers an active scan when this node can admit
-// the scanner.
+// handleBeaconRequest answers an active scan from a joined coordinator
+// or router, open to joiners or not.
 func (nw *Network) handleBeaconRequest(r *node, tx *transmission) {
-	if r.state != stateJoined || !r.permitJoin {
+	if r.state != stateJoined || r.spec.Role == RoleEndDevice {
 		return
 	}
 	r.seq++
 	frame := ieee802154.NewBeacon(r.seq, r.pan, r.short)
-	nw.enqueueTx(r, &outgoing{kind: kindBeacon, frame: frame, mode: targetBeaconAudience})
+	nw.enqueueTx(r, &outgoing{kind: kindBeacon, frame: frame, mode: targetBeaconAudience, answers: answers(tx)})
 }
 
 // handleBeacon is the triple-duty beacon sink: scanners collect it,
@@ -643,29 +732,27 @@ func (nw *Network) panInUse(channel int, pan uint16, except int) bool {
 	return false
 }
 
-// handleAssocRequest admits a joiner: assign a short address and answer
-// with an association response after the response delay.
+// handleAssocRequest answers a joiner after the response delay: an
+// assigned short address when the node admits joiners, an access
+// denial when it is closed.
 func (nw *Network) handleAssocRequest(r *node, tx *transmission) {
-	if r.state != stateJoined || !r.permitJoin {
+	if r.state != stateJoined || r.spec.Role == RoleEndDevice {
 		return
 	}
-	joiner := tx.src
-	assigned := nw.allocShort(nw.rootOf[r.id])
-	if !r.childSet[joiner] {
-		r.childSet[joiner] = true
-		r.children = append(r.children, joiner)
+	assigned, status := uint16(ieee802154.BroadcastAddr), byte(ieee802154.AssocStatusDenied)
+	if r.permitJoin {
+		assigned, status = nw.allocShort(nw.rootOf[r.id]), ieee802154.AssocStatusSuccess
 	}
 	r.seq++
-	frame := ieee802154.NewAssociationResponse(r.seq, r.pan, ieee802154.NoShortAddress, assigned, ieee802154.AssocStatusSuccess)
-	nw.sched.After(assocRespDelay, func() {
-		nw.enqueueTx(r, &outgoing{kind: kindAssocResponse, frame: frame, mode: targetNode, to: joiner, needAck: true})
-	})
+	frame := ieee802154.NewAssociationResponse(r.seq, r.pan, ieee802154.NoShortAddress, assigned, status)
+	out := &outgoing{kind: kindAssocResponse, frame: frame, mode: targetNode, to: tx.src, needAck: true, answers: answers(tx)}
+	nw.sched.After(assocRespDelay, func() { nw.enqueueTx(r, out) })
 }
 
 // handleAssocResponse completes the join on the device side.
 func (nw *Network) handleAssocResponse(r *node, tx *transmission) {
-	if r.state == stateJoined {
-		return
+	if r.state == stateJoined || tx.src < 0 {
+		return // forged responses carry no node to resolve against
 	}
 	assigned, status, err := ieee802154.ParseAssociationResponse(tx.frame.Payload)
 	if err != nil || status != ieee802154.AssocStatusSuccess {
@@ -677,21 +764,24 @@ func (nw *Network) handleAssocResponse(r *node, tx *transmission) {
 	nw.completeJoin(r, assigned)
 }
 
-// handleData accepts a sensor reading: coordinators record it, routers
-// forward it towards their own parent with the hop count incremented.
-func (nw *Network) handleData(r *node, tx *transmission) {
-	payload := tx.frame.Payload
-	if ch, frameID, ok := remoteChannelChange(payload); ok {
-		nw.applyChannelChange(r, frameID, ch)
+// handleData accepts the (authenticated) payload of a data frame:
+// remote AT commands go to the configuration layer, coordinators record
+// readings on their display, routers forward them towards their own
+// parent with the hop count incremented.
+func (nw *Network) handleData(r *node, tx *transmission, payload []byte) {
+	if len(payload) >= 4 && payload[0] == RemoteATRequest {
+		nw.handleRemoteAT(r, tx, payload)
 		return
 	}
-	if len(payload) != 4 || payload[0] != 0x77 {
+	value, hops, ok := ParseReading(payload)
+	if !ok {
 		return
 	}
 	if r.spec.Role == RoleCoordinator {
 		nw.stats.Readings++
 		if t := nw.tel; t != nil {
 			t.nodes[r.id].readings++
+			t.display[r.id] = append(t.display[r.id], Reading{Src: tx.frame.SrcAddr, Seq: tx.frame.Seq, Value: value})
 		}
 		return
 	}
@@ -702,8 +792,6 @@ func (nw *Network) handleData(r *node, tx *transmission) {
 	if t := nw.tel; t != nil {
 		t.nodes[r.id].forwarded++
 	}
-	fwd := []byte{payload[0], payload[1], payload[2], payload[3] + 1}
-	r.seq++
-	frame := ieee802154.NewDataFrame(r.seq, r.pan, r.parentShort, r.short, fwd, true)
+	frame := r.dataFrame(ReadingPayload(value, hops+1), true)
 	nw.enqueueTx(r, &outgoing{kind: kindData, frame: frame, mode: targetNode, to: r.parentID, needAck: true})
 }

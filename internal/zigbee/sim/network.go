@@ -25,11 +25,14 @@ const (
 // outgoing is one frame queued for CSMA-CA transmission.
 type outgoing struct {
 	kind    frameKind
+	mode    targetMode
+	needAck bool
 	frame   *ieee802154.MACFrame
 	psdu    []byte
-	mode    targetMode
 	to      int
-	needAck bool
+	// answers is the Seq of the intruder frame this one replies to, zero
+	// for the mesh's own traffic.
+	answers uint64
 
 	retries int // acknowledged-retransmission count
 	be      int // current backoff exponent
@@ -69,8 +72,9 @@ type node struct {
 	radioBusyUntil time.Duration
 
 	permitJoin bool
-	children   []int
-	childSet   map[int]bool
+	// security, when set, seals the node's readings and AT responses and
+	// drops data frames that do not authenticate.
+	security *ieee802154.SecurityContext
 
 	reading uint16
 }
@@ -99,16 +103,9 @@ type Config struct {
 	// DataInterval is the end-device (and router) reporting cadence.
 	// Default 2s.
 	DataInterval time.Duration
-	// ScanDuration is how long an active scan collects beacons. The
-	// default 140ms approximates the standard's ScanDuration=3 active
-	// scan and rides out CSMA queueing on a loaded parent.
-	ScanDuration time.Duration
-	// JoinSpread is the window over which unjoined nodes begin their
-	// first scan, bounding the association storm. Default 2s.
-	JoinSpread time.Duration
-	// StallAfter is how long a blocked observer send may last before
+	// stallAfter is how long a blocked observer send may last before
 	// the health component degrades. Default 2s of wall time.
-	StallAfter time.Duration
+	stallAfter time.Duration
 
 	// Fidelity selects the frame-delivery tier of the victim links
 	// (radio.FidelitySymbol or radio.FidelityFrame; zero selects
@@ -150,14 +147,8 @@ func (c *Config) fill() {
 	if c.DataInterval <= 0 {
 		c.DataInterval = 2 * time.Second
 	}
-	if c.ScanDuration <= 0 {
-		c.ScanDuration = 140 * time.Millisecond
-	}
-	if c.JoinSpread <= 0 {
-		c.JoinSpread = 2 * time.Second
-	}
-	if c.StallAfter <= 0 {
-		c.StallAfter = 2 * time.Second
+	if c.stallAfter <= 0 {
+		c.stallAfter = 2 * time.Second
 	}
 	if c.Fidelity == 0 {
 		c.Fidelity = radio.FidelityFrame
@@ -219,7 +210,8 @@ type Network struct {
 	airs     map[int]*air
 
 	frameSeq  uint64
-	allocNext map[int]uint16 // per-root short-address allocator
+	allocNext map[int]uint16  // per-root short-address allocator
+	static    map[uint16]bool // static short addresses the allocator skips
 
 	taps      map[int][]func(FrameCapture)
 	observers map[int][]*Observer
@@ -246,9 +238,9 @@ type Network struct {
 	cInjected          *obs.Counter
 	cInjectedDelivered *obs.Counter
 	cMigrations        *obs.Counter
-	gVirtual    *obs.Gauge
-	gHeapDepth  *obs.Gauge
-	gJoined     *obs.Gauge
+	gVirtual           *obs.Gauge
+	gHeapDepth         *obs.Gauge
+	gJoined            *obs.Gauge
 
 	lastEvents     uint64
 	depthThreshold int
@@ -271,8 +263,8 @@ type Network struct {
 }
 
 // New instantiates a topology into a virtual network at time zero:
-// coordinators come up joined and beaconing, everything else starts its
-// first active scan within cfg.JoinSpread.
+// coordinators and statically addressed nodes come up joined,
+// everything else starts its first active scan within joinSpread.
 func New(topo Topology, cfg Config) (*Network, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -364,7 +356,6 @@ func (nw *Network) build() {
 			short:    ieee802154.NoShortAddress,
 			pan:      spec.PAN,
 			parentID: spec.Parent,
-			childSet: map[int]bool{},
 		}
 		nw.nodes[i] = n
 		roleCount[spec.Role]++
@@ -388,19 +379,31 @@ func (nw *Network) build() {
 	for _, n := range nw.nodes {
 		n := n
 		if n.spec.Role == RoleCoordinator {
-			n.short = 0x0000
-			n.state = stateJoined
-			n.permitJoin = true
 			nw.allocNext[n.id] = 1
-			nw.stats.Joined++
-			if nw.tel != nil {
-				// Coordinators come up joined: zero join latency.
-				nw.tel.nodes[n.id].joinedAt = 0
-			}
-			nw.sched.At(nw.jitter(n, nw.cfg.BeaconInterval), func() { nw.beaconLoop(n) })
+		}
+		if n.spec.Role != RoleCoordinator && n.spec.Short == 0 {
+			nw.sched.At(nw.jitter(n, joinSpread), func() { nw.startScan(n) })
 			continue
 		}
-		nw.sched.At(nw.jitter(n, nw.cfg.JoinSpread), func() { nw.startScan(n) })
+		// Coordinators and statically addressed nodes come up joined:
+		// zero join latency.
+		n.short = n.spec.Short
+		if n.spec.Short != 0 {
+			if nw.static == nil {
+				nw.static = map[uint16]bool{}
+			}
+			nw.static[n.spec.Short] = true
+		}
+		if n.spec.Role != RoleCoordinator {
+			p := nw.nodes[n.spec.Parent]
+			n.parentShort = p.short
+		}
+		n.state = stateJoined
+		nw.stats.Joined++
+		if nw.tel != nil {
+			nw.tel.nodes[n.id].joinedAt = 0
+		}
+		nw.goLive(n)
 	}
 	nw.noteJoinedGauge()
 }
@@ -587,9 +590,51 @@ func (nw *Network) Node(i int) NodeInfo {
 	}
 }
 
+// SetPermitJoin opens or closes node i to association requests. A
+// closed coordinator or router answers them with an access-denied
+// response; joined coordinators and routers answer beacon requests
+// either way. Call between Run invocations.
+func (nw *Network) SetPermitJoin(i int, permit bool) {
+	nw.nodes[i].permitJoin = permit
+}
+
+// Secure enables CCM* link-layer security on node i under the shared
+// network key, with the node's extended address as nonce source. A
+// secured node seals its readings and AT responses, and drops — without
+// acknowledging — any data frame or remote AT command that does not
+// authenticate. Call between Run invocations.
+func (nw *Network) Secure(i int, key []byte, level ieee802154.SecurityLevel) error {
+	ctx, err := ieee802154.NewSecurityContext(key, nw.nodes[i].ext, level)
+	if err != nil {
+		return err
+	}
+	nw.nodes[i].security = ctx
+	return nil
+}
+
+// Reading is one entry of a coordinator's display log.
+type Reading struct {
+	// Src is the short address the frame claimed as its source.
+	Src uint16
+	// Seq is the MAC sequence number.
+	Seq uint8
+	// Value is the reported integer.
+	Value uint16
+}
+
+// Display returns the readings coordinator i accepted, in arrival order.
+// The observatory keeps the log, so it is nil when Config.Telemetry is
+// off. Call between Run invocations; the slice must not be modified.
+func (nw *Network) Display(i int) []Reading {
+	if nw.tel == nil {
+		return nil
+	}
+	return nw.tel.display[i]
+}
+
 // RegisterHealth registers the simulator with a health registry: the
 // component degrades when an observer send has been blocked for longer
-// than Config.StallAfter — the signature a stalled consumer leaves on a
+// than two seconds — the signature a stalled consumer leaves on a
 // virtual-time loop, where "the event loop makes no progress" and "an
 // observer stopped draining" are the same condition.
 func (nw *Network) RegisterHealth(h *obs.Health) *obs.HealthComponent {
@@ -598,7 +643,7 @@ func (nw *Network) RegisterHealth(h *obs.Health) *obs.HealthComponent {
 		since := nw.sendBlockedSince.Load()
 		if since != 0 {
 			blocked := time.Since(time.Unix(0, since))
-			if blocked > nw.cfg.StallAfter {
+			if blocked > nw.cfg.stallAfter {
 				c.SetDegraded(fmt.Sprintf("event loop stalled %v on an observer send", blocked.Round(time.Millisecond)))
 				return nil
 			}

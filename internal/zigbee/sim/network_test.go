@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wazabee/internal/ieee802154"
 	"wazabee/internal/obs"
 )
 
@@ -174,7 +175,7 @@ func TestObserverStreamsCaptures(t *testing.T) {
 }
 
 func TestRegisterHealthDegradesOnStalledObserver(t *testing.T) {
-	nw, err := New(Star(3), Config{Seed: 1, StallAfter: time.Millisecond})
+	nw, err := New(Star(3), Config{Seed: 1, stallAfter: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,5 +235,73 @@ func TestRegisterHealthDegradesOnStalledObserver(t *testing.T) {
 		if snap.Status != "ok" {
 			t.Fatalf("status after drain = %s, want ok", snap.Status)
 		}
+	}
+}
+
+// TestStaticShortAddresses covers NodeSpec.Short: statically addressed
+// nodes start joined under their address, the allocator never hands that
+// address out, and the topology rejects reserved addresses and static
+// nodes below a parent that still has to associate.
+func TestStaticShortAddresses(t *testing.T) {
+	topo := Star(2)
+	topo.Nodes[0].Short = 0x0042
+	topo.Nodes[1].Short = 0x0001
+	nw, err := New(topo, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, s := nw.Node(0), nw.Node(1); !c.Joined || c.Short != 0x0042 || !s.Joined || s.Short != 0x0001 {
+		t.Fatalf("static nodes at t=0: %+v, %+v", c, s)
+	}
+	if nw.Node(2).Joined {
+		t.Fatal("unaddressed end device joined before associating")
+	}
+	nw.Run(10 * time.Second)
+	if n := nw.Node(2); !n.Joined || n.Short == 0x0001 {
+		t.Errorf("associated node: %+v, want joined with a free address", n)
+	}
+	if got := nw.Stats().Joins; got != 1 {
+		t.Errorf("Joins = %d, want 1 (static nodes do not associate)", got)
+	}
+
+	tree := Tree(2, 1)
+	tree.Nodes[2].Short = 5
+	if err := tree.Validate(); err == nil {
+		t.Error("static address below an associating router accepted")
+	}
+	star := Star(1)
+	star.Nodes[1].Short = ieee802154.NoShortAddress
+	if err := star.Validate(); err == nil {
+		t.Error("reserved static address accepted")
+	}
+}
+
+// TestClosedCoordinatorDeniesJoin: a coordinator closed with
+// SetPermitJoin still answers the scan, but denies the association, so
+// the joiner keeps rescanning; reopening it lets the joiner in.
+func TestClosedCoordinatorDeniesJoin(t *testing.T) {
+	nw, err := New(Star(1), Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetPermitJoin(0, false)
+	denied := 0
+	nw.Tap(DefaultChannel, func(fc FrameCapture) {
+		f, err := ieee802154.ParseMACFrame(fc.PSDU)
+		if err != nil || fc.Kind != "assoc_response" {
+			return
+		}
+		if _, status, err := ieee802154.ParseAssociationResponse(f.Payload); err == nil && status == ieee802154.AssocStatusDenied {
+			denied++
+		}
+	})
+	nw.Run(10 * time.Second)
+	if nw.Node(1).Joined || denied == 0 {
+		t.Fatalf("closed coordinator: joined=%v after %d denials", nw.Node(1).Joined, denied)
+	}
+	nw.SetPermitJoin(0, true)
+	nw.Run(20 * time.Second)
+	if !nw.Node(1).Joined {
+		t.Error("joiner still out after the coordinator reopened")
 	}
 }

@@ -79,6 +79,7 @@ type telemetry struct {
 	nodes   []nodeTel
 	links   map[uint64]*linkTel
 	energy  []radioAccount
+	display [][]Reading // per-coordinator display logs
 	profile EnergyProfile
 	trace   *traceWriter
 
@@ -100,6 +101,7 @@ func newTelemetry(topo Topology, profile EnergyProfile, reg *obs.Registry, trace
 		nodes:    make([]nodeTel, n),
 		links:    make(map[uint64]*linkTel),
 		energy:   make([]radioAccount, n),
+		display:  make([][]Reading, n),
 		profile:  profile,
 		trace:    trace,
 		reg:      reg,

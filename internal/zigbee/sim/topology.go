@@ -36,8 +36,8 @@ func (r Role) String() string {
 	}
 }
 
-// Defaults shared with the live victim network (internal/zigbee keeps
-// its own copies; sim cannot import it without a cycle).
+// Defaults of the paper's XBee network (section VI-A), which
+// internal/zigbee runs as a two-node Network.
 const (
 	// DefaultPAN is the experimental PAN identifier.
 	DefaultPAN = 0x1234
@@ -59,6 +59,11 @@ type NodeSpec struct {
 	// sharing (Channel, PAN) is legal input: it exercises the PAN-ID
 	// conflict resolution path.
 	PAN uint16
+	// Short is a static 16-bit short address. Zero keeps the default
+	// rule: 0x0000 for coordinators, association for everyone else. A
+	// node with a static address starts joined, as if its network had
+	// formed before time zero.
+	Short uint16
 }
 
 // Topology is a generated mesh layout: the seeded vocabulary the
@@ -95,6 +100,9 @@ func (t Topology) Validate() error {
 		if _, err := ieee802154.ChannelFrequencyMHz(n.Channel); err != nil {
 			return fmt.Errorf("sim: node %d: %w", i, err)
 		}
+		if n.Short >= ieee802154.NoShortAddress {
+			return fmt.Errorf("sim: node %d: static address %#04x is reserved", i, n.Short)
+		}
 		if n.Role == RoleCoordinator {
 			if n.Parent != -1 {
 				return fmt.Errorf("sim: coordinator %d has parent %d", i, n.Parent)
@@ -107,6 +115,9 @@ func (t Topology) Validate() error {
 		p := t.Nodes[n.Parent]
 		if p.Role == RoleEndDevice {
 			return fmt.Errorf("sim: node %d parented to end device %d", i, n.Parent)
+		}
+		if n.Short != 0 && p.Role != RoleCoordinator && p.Short == 0 {
+			return fmt.Errorf("sim: node %d has a static address but its parent %d must associate first", i, n.Parent)
 		}
 		if p.Channel != n.Channel || p.PAN != n.PAN {
 			return fmt.Errorf("sim: node %d on channel %d PAN %#04x, parent %d on channel %d PAN %#04x",

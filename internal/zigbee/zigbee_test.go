@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wazabee/internal/ieee802154"
+	vsim "wazabee/internal/zigbee/sim"
 )
 
 func TestATCommandRoundTrip(t *testing.T) {
@@ -56,67 +57,81 @@ func TestATResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSensorPayloadRoundTrip pins the Table III reading payload: tag
+// octet then the little-endian value, intact through a MAC data frame.
 func TestSensorPayloadRoundTrip(t *testing.T) {
 	p := SensorPayload(0xbeef)
-	v, err := ParseSensorPayload(p)
+	if !bytes.Equal(p, []byte{FrameSensorData, 0xef, 0xbe}) {
+		t.Errorf("SensorPayload(0xbeef) = % x", p)
+	}
+	psdu, err := ieee802154.NewDataFrame(1, DefaultPAN, DefaultCoordinator, DefaultSensor, p, false).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 0xbeef {
-		t.Errorf("value = %#x, want 0xbeef", v)
+	frame, err := ieee802154.ParseMACFrame(psdu)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseSensorPayload([]byte{0x99, 1, 2}); err == nil {
-		t.Error("expected error for wrong frame type")
+	if !bytes.Equal(frame.Payload, p) {
+		t.Errorf("payload after round trip = % x, want % x", frame.Payload, p)
 	}
 }
 
-func TestSensorPeriodicReadings(t *testing.T) {
-	s := NewSensor()
-	f1, err := s.NextDataFrame()
+func newTestSim(t *testing.T, seed int64) *Simulation {
+	t.Helper()
+	sim, err := NewSimulation(seed, 8, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := s.NextDataFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := ParseSensorPayload(f1.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := ParseSensorPayload(f2.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 != v1+1 {
-		t.Errorf("readings %d then %d, want increment", v1, v2)
-	}
-	if f2.Seq != f1.Seq+1 {
-		t.Error("sequence numbers must increment")
-	}
-	if f1.DestAddr != DefaultCoordinator || f1.SrcAddr != DefaultSensor || f1.DestPAN != DefaultPAN {
-		t.Errorf("addressing = %+v", f1)
-	}
-	if !f1.AckRequest {
-		t.Error("sensor data must request acknowledgement")
-	}
+	return sim
 }
 
-func TestSensorAppliesChannelChange(t *testing.T) {
-	s := NewSensor()
-	cmdPayload, err := (&ATCommand{FrameID: 9, Command: "CH", Param: []byte{20}}).Encode()
+// exchange sends frame to the network as an attacker waveform on the
+// network's channel and decodes the reply; nil when only noise came
+// back.
+func exchange(t *testing.T, sim *Simulation, frame *ieee802154.MACFrame) *ieee802154.MACFrame {
+	t.Helper()
+	psdu, err := frame.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spoofed as coming from the coordinator, as the attack does.
-	frame := ieee802154.NewDataFrame(1, s.PAN, s.Addr, s.CoordAddr, cmdPayload, false)
-	reply, err := s.Handle(frame)
+	ppdu, err := ieee802154.NewPPDU(psdu)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Channel != 20 {
-		t.Errorf("sensor channel = %d, want 20", s.Channel)
+	sig, err := sim.PHY.Modulate(ppdu)
+	if err != nil {
+		t.Fatal(err)
 	}
+	capture, err := sim.Exchange(sig, DefaultChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dem, err := sim.PHY.Demodulate(capture)
+	if err != nil {
+		return nil
+	}
+	reply, err := ieee802154.ParseMACFrame(dem.PPDU.PSDU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reply
+}
+
+// atCommand builds the remote AT frame the scenario B attack forges:
+// addressed to the sensor, spoofing the coordinator as source.
+func atCommand(t *testing.T, frameID byte, command string, param ...byte) *ieee802154.MACFrame {
+	t.Helper()
+	payload, err := (&ATCommand{FrameID: frameID, Command: command, Param: param}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ieee802154.NewDataFrame(frameID, DefaultPAN, DefaultSensor, DefaultCoordinator, payload, false)
+}
+
+// atReply decodes the sensor's AT response.
+func atReply(t *testing.T, reply *ieee802154.MACFrame) *ATResponse {
+	t.Helper()
 	if reply == nil {
 		t.Fatal("expected AT response")
 	}
@@ -124,84 +139,99 @@ func TestSensorAppliesChannelChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp
+}
+
+func TestSensorPeriodicReadings(t *testing.T) {
+	sim := newTestSim(t, 4)
+	for i := 0; i < 3; i++ {
+		capture, err := sim.Step(DefaultChannel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dem, err := sim.PHY.Demodulate(capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ieee802154.ParseMACFrame(dem.PPDU.PSDU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.DestAddr != DefaultCoordinator || f.SrcAddr != DefaultSensor || f.DestPAN != DefaultPAN {
+			t.Errorf("addressing = %+v", f)
+		}
+		if !f.AckRequest {
+			t.Error("sensor data must request acknowledgement")
+		}
+	}
+	display := sim.Network.Display(CoordinatorNode)
+	if len(display) != 3 {
+		t.Fatalf("display holds %d readings, want 3", len(display))
+	}
+	for i, r := range display {
+		if r.Src != DefaultSensor || r.Value != uint16(i+1) {
+			t.Errorf("reading %d = %+v, want value %d from the sensor", i, r, i+1)
+		}
+		if i > 0 && r.Seq != display[i-1].Seq+1 {
+			t.Error("sequence numbers must increment")
+		}
+	}
+}
+
+func TestSensorAppliesChannelChange(t *testing.T) {
+	sim := newTestSim(t, 5)
+	resp := atReply(t, exchange(t, sim, atCommand(t, 9, "CH", 20)))
 	if resp.Status != 0 || resp.FrameID != 9 {
 		t.Errorf("AT response = %+v", resp)
+	}
+	// The retune detaches the sensor from the PAN.
+	if sim.Network.Node(SensorNode).Joined {
+		t.Error("sensor still joined after the channel change")
+	}
+	if got := sim.Network.Stats().ChannelMigrations; got != 1 {
+		t.Errorf("ChannelMigrations = %d, want 1", got)
 	}
 }
 
 func TestSensorRejectsBadChannelChange(t *testing.T) {
-	s := NewSensor()
-	cmdPayload, _ := (&ATCommand{FrameID: 1, Command: "CH", Param: []byte{99}}).Encode()
-	frame := ieee802154.NewDataFrame(1, s.PAN, s.Addr, s.CoordAddr, cmdPayload, false)
-	reply, err := s.Handle(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Channel != DefaultChannel {
-		t.Error("invalid channel must not be applied")
-	}
-	resp, err := ParseATResponse(reply.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := newTestSim(t, 6)
+	resp := atReply(t, exchange(t, sim, atCommand(t, 1, "CH", 99)))
 	if resp.Status == 0 {
 		t.Error("invalid parameter must report a non-zero status")
+	}
+	if !sim.Network.Node(SensorNode).Joined || sim.Network.Stats().ChannelMigrations != 0 {
+		t.Error("invalid channel must not be applied")
 	}
 }
 
 func TestSensorIgnoresUnrelatedFrames(t *testing.T) {
-	s := NewSensor()
-	other := ieee802154.NewDataFrame(1, s.PAN, 0x9999, s.CoordAddr, []byte{1}, false)
-	reply, err := s.Handle(other)
-	if err != nil {
-		t.Fatal(err)
+	sim := newTestSim(t, 7)
+	other := ieee802154.NewDataFrame(1, DefaultPAN, 0x9999, DefaultCoordinator, []byte{1}, false)
+	if reply := exchange(t, sim, other); reply != nil {
+		t.Errorf("reply %+v to a frame for another node", reply)
 	}
-	if reply != nil {
-		t.Error("sensor replied to a frame for another node")
-	}
-	if _, err := s.Handle(nil); err == nil {
-		t.Error("expected error for nil frame")
-	}
-	unsupported, _ := (&ATCommand{FrameID: 1, Command: "ID"}).Encode()
-	frame := ieee802154.NewDataFrame(1, s.PAN, s.Addr, s.CoordAddr, unsupported, false)
-	reply, err = s.Handle(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ParseATResponse(reply.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := atReply(t, exchange(t, sim, atCommand(t, 2, "ID")))
 	if resp.Status == 0 {
 		t.Error("unsupported command must report a non-zero status")
 	}
 }
 
 func TestCoordinatorRecordsAndAcks(t *testing.T) {
-	c := NewCoordinator()
-	frame := ieee802154.NewDataFrame(5, c.PAN, c.Addr, DefaultSensor, SensorPayload(321), true)
-	reply, err := c.Handle(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Readings) != 1 || c.Readings[0].Value != 321 || c.Readings[0].Src != DefaultSensor {
-		t.Errorf("readings = %+v", c.Readings)
-	}
+	sim := newTestSim(t, 8)
+	frame := ieee802154.NewDataFrame(5, DefaultPAN, DefaultCoordinator, DefaultSensor, vsim.ReadingPayload(321, 0), true)
+	reply := exchange(t, sim, frame)
 	if reply == nil || reply.Type != ieee802154.FrameAck || reply.Seq != 5 {
 		t.Errorf("reply = %+v, want ACK seq 5", reply)
 	}
-	last, ok := c.LastReading()
-	if !ok || last.Value != 321 {
-		t.Errorf("LastReading = %+v, %v", last, ok)
+	display := sim.Network.Display(CoordinatorNode)
+	if len(display) == 0 || display[len(display)-1] != (vsim.Reading{Src: DefaultSensor, Seq: 5, Value: 321}) {
+		t.Errorf("display = %+v", display)
 	}
 }
 
 func TestCoordinatorAnswersBeaconRequest(t *testing.T) {
-	c := NewCoordinator()
-	reply, err := c.Handle(ieee802154.NewBeaconRequest(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := newTestSim(t, 9)
+	reply := exchange(t, sim, ieee802154.NewBeaconRequest(1))
 	if reply == nil || reply.Type != ieee802154.FrameBeacon {
 		t.Fatalf("reply = %+v, want beacon", reply)
 	}
@@ -211,20 +241,15 @@ func TestCoordinatorAnswersBeaconRequest(t *testing.T) {
 }
 
 func TestCoordinatorIgnoresForeignTraffic(t *testing.T) {
-	c := NewCoordinator()
-	foreign := ieee802154.NewDataFrame(1, 0x9999, c.Addr, 2, SensorPayload(1), true)
-	reply, err := c.Handle(foreign)
-	if err != nil {
-		t.Fatal(err)
+	sim := newTestSim(t, 10)
+	foreign := ieee802154.NewDataFrame(1, 0x9999, DefaultCoordinator, 2, vsim.ReadingPayload(1, 0), true)
+	if reply := exchange(t, sim, foreign); reply != nil {
+		t.Errorf("coordinator answered a foreign PAN: %+v", reply)
 	}
-	if reply != nil || len(c.Readings) != 0 {
-		t.Error("coordinator reacted to a foreign PAN")
-	}
-	if _, ok := c.LastReading(); ok {
-		t.Error("LastReading on empty log reported ok")
-	}
-	if _, err := c.Handle(nil); err == nil {
-		t.Error("expected error for nil frame")
+	for _, r := range sim.Network.Display(CoordinatorNode) {
+		if r.Src == 2 {
+			t.Errorf("foreign reading displayed: %+v", r)
+		}
 	}
 }
 
@@ -238,8 +263,8 @@ func TestSimulationStepDeliversToCoordinatorAndAttacker(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Coordinator recorded the reading.
-	if len(sim.Coordinator.Readings) != 1 {
-		t.Fatalf("coordinator readings = %d, want 1", len(sim.Coordinator.Readings))
+	if len(sim.Network.Display(CoordinatorNode)) != 1 {
+		t.Fatalf("coordinator readings = %d, want 1", len(sim.Network.Display(CoordinatorNode)))
 	}
 	// Attacker's capture contains the frame (legit PHY can decode it).
 	dem, err := sim.PHY.Demodulate(capture)

@@ -207,13 +207,15 @@ type (
 	// the extended advertising API of an unrooted phone).
 	Smartphone = attack.Smartphone
 	// VictimNetwork is the simulated XBee domotic network of the
-	// paper's experimental setup.
+	// paper's experimental setup: a two-node MeshNetwork (Network)
+	// behind an IQ adapter, whose Step, Capture and Exchange trade
+	// real waveforms with the attacker.
 	VictimNetwork = zigbee.Simulation
 )
 
 // NewVictimNetwork builds the default victim network (PAN 0x1234, sensor
-// 0x0063 reporting to coordinator 0x0042 on channel 14) over a seeded
-// radio medium.
+// 0x0063 reporting to coordinator 0x0042 on channel 14, joined at time
+// zero, coordinator closed to joining) over a seeded radio medium.
 func NewVictimNetwork(seed int64, samplesPerChip int, snrDB float64) (*VictimNetwork, error) {
 	return zigbee.NewSimulation(seed, samplesPerChip, snrDB)
 }
