@@ -67,11 +67,14 @@ racesim:
 # The reproducibility contracts: Monte-Carlo results bit-identical across
 # worker counts {1,4,8}, sweep-order permutations, and checkpoint/resume
 # boundaries; simulator capture sequences bit-identical across same-seed
-# runs and event-batch sizes.
+# runs and event-batch sizes; campaign matrices identical across worker
+# counts and checkpoint resumes, with every scenario's seed-1 outcome
+# (and so the frame-tier IDS sampler) pinned.
 determinism:
 	$(GO) test -run 'DeterministicAcrossWorkers|OrderIndependent|CheckpointResume|CancellationAndResume|ShuffledPointOrder' -count 1 ./internal/experiment ./internal/experiment/runner
 	$(GO) test -run 'TestSimDeterministic|TestSimSeedsDiverge|TestRunDeterministicDigest' -count 1 ./internal/zigbee/sim ./cmd/wazabeesim
 	$(GO) test -run 'TestFidelity' -count 1 ./internal/experiment
+	$(GO) test -run 'TestMatrixWorkerCountIndependence|TestMatrixCheckpointResume|TestScenarioGoldenOutcomes' -count 1 ./internal/campaign
 
 # Refit the symbol/frame-tier calibration tables from the IQ ground
 # truth (internal/calib; ~20 s) and embed them. calibrate-check refits

@@ -39,13 +39,13 @@ func runScenario(t *testing.T, name string, opts Options) Outcome {
 // the mesh, monitor or energy model underneath it) changed — update the
 // strings only for an intended behavior change.
 var goldenSeed1 = map[string]string{
-	"benign-baseline":      `{"scenario":"benign-baseline","seed":1,"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false,"alert_frames":0,"frames_injected":0,"frames_accepted":0,"nodes_disrupted":0,"channel_migrations":0,"readings":57,"energy_microjoules":3104770.1184,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":232999978,"evm":0.06849590091943757},{"at_ns":941722209,"evm":0.11825750906540415},{"at_ns":943706209,"evm":0.13044848428124023},{"at_ns":1079361058,"evm":0.13102276525956552},{"at_ns":1081626209,"evm":0.13471398925304134},{"at_ns":1085226209,"evm":0.13687294636266759},{"at_ns":1216737058,"evm":0.14327848390962955},{"at_ns":1220465058,"evm":0.16624470991607737},{"at_ns":1706548886,"evm":0.1731566629009191},{"at_ns":21339188430,"evm":0.1750084689479996}],"framing_at_ns":-1}}`,
-	"scenario-a-injection": `{"scenario":"scenario-a-injection","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":true,"alert_frames":40,"alerts":{"ble-framing":26,"modulation-fingerprint":40},"frames_injected":40,"frames_accepted":40,"nodes_disrupted":0,"channel_migrations":0,"readings":97,"energy_microjoules":3104701.7664,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257},{"at_ns":1000000000,"evm":0.4416253159179422},{"at_ns":10500000000,"evm":0.4424411112598284},{"at_ns":17500000000,"evm":0.4463158327724851}],"framing_at_ns":0}}`,
-	"channel-migration":    `{"scenario":"channel-migration","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":4,"alerts":{"modulation-fingerprint":4},"frames_injected":4,"frames_accepted":4,"nodes_disrupted":4,"channel_migrations":4,"readings":17,"energy_microjoules":3104879.4816000005,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257}],"framing_at_ns":-1}}`,
-	"association-flood":    `{"scenario":"association-flood","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":189,"alerts":{"modulation-fingerprint":189},"frames_injected":190,"frames_accepted":190,"nodes_disrupted":0,"channel_migrations":0,"readings":57,"energy_microjoules":3103438.5984,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.3118363686302138},{"at_ns":150000000,"evm":0.43851746460873314},{"at_ns":1050000000,"evm":0.4416253159179422},{"at_ns":2850000000,"evm":0.4424411112598284},{"at_ns":5400000000,"evm":0.4432207237527652},{"at_ns":8400000000,"evm":0.45746289025700526},{"at_ns":19350000000,"evm":0.467362592731815},{"at_ns":19800000000,"evm":0.4736558827807848},{"at_ns":25200000000,"evm":0.4776166991865076}],"framing_at_ns":-1}}`,
-	"energy-depletion":     `{"scenario":"energy-depletion","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":330,"alerts":{"modulation-fingerprint":330},"frames_injected":334,"frames_accepted":330,"nodes_disrupted":0,"channel_migrations":0,"readings":58,"energy_microjoules":3104199.2064,"energy_drained_microjoules":10905.830399999999,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257},{"at_ns":180000000,"evm":0.45041558833700285},{"at_ns":300000000,"evm":0.4884475017512429}],"framing_at_ns":-1}}`,
-	"sleep-deprivation":    `{"scenario":"sleep-deprivation","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":165,"alerts":{"modulation-fingerprint":165},"frames_injected":167,"frames_accepted":165,"nodes_disrupted":0,"channel_migrations":0,"readings":222,"energy_microjoules":3103984.9728000006,"energy_drained_microjoules":12139.603200000003,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257},{"at_ns":240000000,"evm":0.4416253159179422},{"at_ns":6480000000,"evm":0.44775657098951493},{"at_ns":9240000000,"evm":0.4633495256400797}],"framing_at_ns":-1}}`,
-	"replay-impersonation": `{"scenario":"replay-impersonation","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":40,"alerts":{"modulation-fingerprint":40},"frames_injected":40,"frames_accepted":40,"nodes_disrupted":0,"channel_migrations":0,"readings":97,"energy_microjoules":3104701.7664,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.3814769099669257},{"at_ns":1000000000,"evm":0.4416253159179422},{"at_ns":10500000000,"evm":0.4424411112598284},{"at_ns":17500000000,"evm":0.4463158327724851}],"framing_at_ns":-1}}`,
+	"benign-baseline":      `{"scenario":"benign-baseline","seed":1,"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false,"alert_frames":0,"frames_injected":0,"frames_accepted":0,"nodes_disrupted":0,"channel_migrations":0,"readings":57,"energy_microjoules":3104770.1184,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":232999978,"evm":0.13922697044147125},{"at_ns":941722209,"evm":0.14010075137604178},{"at_ns":1079361058,"evm":0.15481370015858423},{"at_ns":5838923529,"evm":0.158503902349608},{"at_ns":15339604430,"evm":0.16199073063165217},{"at_ns":21338324430,"evm":0.17569794755233628}],"framing_at_ns":-1}}`,
+	"scenario-a-injection": `{"scenario":"scenario-a-injection","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":true,"alert_frames":40,"alerts":{"ble-framing":24,"modulation-fingerprint":40},"frames_injected":40,"frames_accepted":40,"nodes_disrupted":0,"channel_migrations":0,"readings":97,"energy_microjoules":3104701.7664,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.36053456346061086},{"at_ns":500000000,"evm":0.387092772751353},{"at_ns":2500000000,"evm":0.3915961806645973},{"at_ns":6000000000,"evm":0.41426927776200323},{"at_ns":8000000000,"evm":0.4351777747110896},{"at_ns":12500000000,"evm":0.43806299393203313}],"framing_at_ns":500000000}}`,
+	"channel-migration":    `{"scenario":"channel-migration","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":4,"alerts":{"modulation-fingerprint":4},"frames_injected":4,"frames_accepted":4,"nodes_disrupted":4,"channel_migrations":4,"readings":17,"energy_microjoules":3104879.4816000005,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.36053456346061086},{"at_ns":750000000,"evm":0.44425632984216934}],"framing_at_ns":-1}}`,
+	"association-flood":    `{"scenario":"association-flood","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":190,"alerts":{"modulation-fingerprint":190},"frames_injected":190,"frames_accepted":190,"nodes_disrupted":0,"channel_migrations":0,"readings":57,"energy_microjoules":3103438.5984,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.371082731581955},{"at_ns":150000000,"evm":0.3757186907381007},{"at_ns":300000000,"evm":0.4012658008281469},{"at_ns":600000000,"evm":0.4077877967758149},{"at_ns":1800000000,"evm":0.4331394107632819},{"at_ns":1950000000,"evm":0.44987729150288513},{"at_ns":22350000000,"evm":0.4575539842760819}],"framing_at_ns":-1}}`,
+	"energy-depletion":     `{"scenario":"energy-depletion","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":330,"alerts":{"modulation-fingerprint":330},"frames_injected":334,"frames_accepted":330,"nodes_disrupted":0,"channel_migrations":0,"readings":58,"energy_microjoules":3104199.2064,"energy_drained_microjoules":10905.830399999999,"score":{"evm_rises":[{"at_ns":0,"evm":0.36053456346061086},{"at_ns":60000000,"evm":0.4702885536740683},{"at_ns":1860000000,"evm":0.5023560811545574}],"framing_at_ns":-1}}`,
+	"sleep-deprivation":    `{"scenario":"sleep-deprivation","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":165,"alerts":{"modulation-fingerprint":165},"frames_injected":167,"frames_accepted":165,"nodes_disrupted":0,"channel_migrations":0,"readings":222,"energy_microjoules":3103984.9728000006,"energy_drained_microjoules":12139.603200000003,"score":{"evm_rises":[{"at_ns":0,"evm":0.36053456346061086},{"at_ns":240000000,"evm":0.37484425117651127},{"at_ns":360000000,"evm":0.39333388351817977},{"at_ns":600000000,"evm":0.42387091282839584},{"at_ns":840000000,"evm":0.43834671914289125},{"at_ns":1320000000,"evm":0.44987729150288513},{"at_ns":4320000000,"evm":0.4499693947461513},{"at_ns":6360000000,"evm":0.46982800436458616},{"at_ns":17760000000,"evm":0.48152527743386836}],"framing_at_ns":-1}}`,
+	"replay-impersonation": `{"scenario":"replay-impersonation","seed":1,"detected":true,"detection_latency_ns":0,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false,"alert_frames":40,"alerts":{"modulation-fingerprint":40},"frames_injected":40,"frames_accepted":40,"nodes_disrupted":0,"channel_migrations":0,"readings":97,"energy_microjoules":3104701.7664,"energy_drained_microjoules":0,"score":{"evm_rises":[{"at_ns":0,"evm":0.36053456346061086},{"at_ns":500000000,"evm":0.387092772751353},{"at_ns":2500000000,"evm":0.3915961806645973},{"at_ns":6000000000,"evm":0.41426927776200323},{"at_ns":8000000000,"evm":0.4351777747110896},{"at_ns":12500000000,"evm":0.43806299393203313}],"framing_at_ns":-1}}`,
 }
 
 func TestScenarioGoldenOutcomes(t *testing.T) {
@@ -333,9 +333,10 @@ func TestMatrixSpecValidation(t *testing.T) {
 }
 
 // goldenDetectionAt pins each scenario's detection fields at seed 1 under
-// two non-default thresholds, as recorded when every threshold still
-// re-ran the mesh with the monitor set to it. Deriving the same fields
-// from one run's threshold-free score must reproduce them exactly.
+// two non-default thresholds, as recorded by running the mesh with the
+// monitor set to each threshold and taking the first in-window alert.
+// Deriving the same fields from one run's threshold-free score must
+// reproduce them exactly.
 var goldenDetectionAt = map[float64]map[string]string{
 	0.22: {
 		"benign-baseline":      `{"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false}`,
@@ -348,11 +349,11 @@ var goldenDetectionAt = map[float64]map[string]string{
 	},
 	0.45: {
 		"benign-baseline":      `{"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false}`,
-		"scenario-a-injection": `{"detected":true,"detection_latency_ns":0,"first_alert":"ble-framing","fingerprint_detected":false,"framing_detected":true}`,
+		"scenario-a-injection": `{"detected":true,"detection_latency_ns":500000000,"first_alert":"ble-framing","fingerprint_detected":false,"framing_detected":true}`,
 		"channel-migration":    `{"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false}`,
-		"association-flood":    `{"detected":true,"detection_latency_ns":8400000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
-		"energy-depletion":     `{"detected":true,"detection_latency_ns":180000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
-		"sleep-deprivation":    `{"detected":true,"detection_latency_ns":9240000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"association-flood":    `{"detected":true,"detection_latency_ns":22350000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"energy-depletion":     `{"detected":true,"detection_latency_ns":60000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
+		"sleep-deprivation":    `{"detected":true,"detection_latency_ns":6360000000,"first_alert":"modulation-fingerprint","fingerprint_detected":true,"framing_detected":false}`,
 		"replay-impersonation": `{"detected":false,"detection_latency_ns":-1,"fingerprint_detected":false,"framing_detected":false}`,
 	},
 }

@@ -2,7 +2,7 @@ package campaign
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 	"time"
 
 	"wazabee/internal/ids"
@@ -38,20 +38,25 @@ const (
 // global capture sequence number — deterministic and batch-order
 // independent — never on shared stream state.
 type evmModel struct {
-	seed  int64
-	snrDB float64
+	seedKey uint64 // the seed's share of every frame's key
+	snrDB   float64
+}
+
+func newEVMModel(seed int64, snrDB float64) evmModel {
+	return evmModel{seedKey: splitmix.Mix(uint64(seed) ^ 0xca3afee1), snrDB: snrDB}
 }
 
 // draw produces one frame's features: the soft-EVM statistic from the
 // appropriate calibrated distribution, and whether BLE framing was
-// spotted (only ever true for attacker frames that carry it).
+// spotted (only ever true for attacker frames that carry it). The frame
+// key (seed, capture seq, diverted) seeds a SplitMix64 generator whose
+// first output is inverted through the normal CDF and whose second is
+// the framing coin.
 func (m *evmModel) draw(seq uint64, diverted, framed bool) (evm float64, framingSeen bool) {
-	h := splitmix.Mix(uint64(m.seed) ^ 0xca3afee1)
-	h = splitmix.Mix(h ^ seq)
+	h := splitmix.Mix(m.seedKey ^ seq)
 	if diverted {
 		h = splitmix.Mix(h ^ 0x5eed)
 	}
-	rng := rand.New(rand.NewSource(int64(h)))
 	mean, sigma := nativeEVMMean, nativeEVMSigma
 	if diverted {
 		mean, sigma = divertedEVMMean, divertedEVMSigma
@@ -63,12 +68,14 @@ func (m *evmModel) draw(seq uint64, diverted, framed bool) (evm float64, framing
 			mean += widen
 		}
 	}
-	evm = mean + sigma*rng.NormFloat64()
+	// u sits strictly inside (0, 1), so the inverse CDF stays finite.
+	u := (float64(splitmix.Mix(h)>>11) + 0.5) / (1 << 53)
+	evm = mean + sigma*math.Sqrt2*math.Erfinv(2*u-1)
 	if evm < 0 {
 		evm = 0
 	}
 	if framed {
-		framingSeen = rng.Float64() < framingDetectProb
+		framingSeen = float64(splitmix.Mix(h+splitmix.Gamma)>>11)/(1<<53) < framingDetectProb
 	}
 	return evm, framingSeen
 }
@@ -107,7 +114,7 @@ func newInstance(sc *scenario, opts Options) (*instance, error) {
 	it := &instance{
 		sc:          sc,
 		opts:        opts,
-		model:       evmModel{seed: opts.Seed, snrDB: opts.SNRdB},
+		model:       newEVMModel(opts.Seed, opts.SNRdB),
 		duration:    opts.Duration,
 		attackStart: sc.attackStart,
 		score:       TrialScore{FramingAt: -1},
@@ -132,8 +139,7 @@ func newInstance(sc *scenario, opts Options) (*instance, error) {
 		return nil, err
 	}
 	it.nw = nw
-	it.mon = ids.NewFrameMonitor()
-	it.mon.Obs = cfg.Registry
+	it.mon = ids.NewFrameMonitor(cfg.Registry)
 	nw.Tap(sim.DefaultChannel, it.inspect)
 
 	if sc.attack {

@@ -49,16 +49,16 @@ type FrameMonitor struct {
 	// AlertUnexpectedTraffic. Defaults to true.
 	ChannelExpected bool
 
-	// Obs receives the monitor's metrics; nil falls back to the process
-	// default registry.
-	Obs *obs.Registry
+	met *monitorMetrics
 }
 
-// NewFrameMonitor builds a frame-tier monitor with the default policy.
-func NewFrameMonitor() *FrameMonitor {
+// NewFrameMonitor builds a frame-tier monitor with the default policy,
+// counting into reg (nil means the process default registry).
+func NewFrameMonitor(reg *obs.Registry) *FrameMonitor {
 	return &FrameMonitor{
 		FingerprintThreshold: DefaultFingerprintThreshold,
 		ChannelExpected:      true,
+		met:                  newMonitorMetrics(reg, "wazabee_ids_frame_"),
 	}
 }
 
@@ -67,8 +67,7 @@ func NewFrameMonitor() *FrameMonitor {
 // fingerprint, framing) with the same kinds, so downstream consumers
 // need not know which tier produced them.
 func (m *FrameMonitor) Judge(f FrameFeatures) *Verdict {
-	reg := obs.Or(m.Obs)
-	reg.Counter("wazabee_ids_frame_inspections_total").Inc()
+	m.met.inspections.Inc()
 	verdict := &Verdict{FrameSeen: true, SoftEVM: f.SoftEVM}
 	if !m.ChannelExpected {
 		verdict.Alerts = append(verdict.Alerts, Alert{
@@ -89,8 +88,6 @@ func (m *FrameMonitor) Judge(f FrameFeatures) *Verdict {
 			Detail: "BLE advertising preamble and Access Address precede the 802.15.4 frame",
 		})
 	}
-	for _, a := range verdict.Alerts {
-		reg.Counter("wazabee_ids_frame_detections_total", "kind", a.Kind.String()).Inc()
-	}
+	m.met.countDetections(verdict)
 	return verdict
 }

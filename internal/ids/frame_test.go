@@ -7,7 +7,7 @@ import (
 )
 
 func TestFrameMonitorThresholdEdges(t *testing.T) {
-	m := NewFrameMonitor()
+	m := NewFrameMonitor(obs.NewRegistry())
 	if m.FingerprintThreshold != DefaultFingerprintThreshold {
 		t.Fatalf("default threshold = %v, want %v", m.FingerprintThreshold, DefaultFingerprintThreshold)
 	}
@@ -37,7 +37,8 @@ func TestFrameMonitorThresholdEdges(t *testing.T) {
 }
 
 func TestFrameMonitorCustomThreshold(t *testing.T) {
-	m := &FrameMonitor{FingerprintThreshold: 0.5, ChannelExpected: true}
+	m := NewFrameMonitor(obs.NewRegistry())
+	m.FingerprintThreshold = 0.5
 	if m.Judge(FrameFeatures{SoftEVM: 0.4}).Suspicious() {
 		t.Error("0.4 flagged under a 0.5 threshold")
 	}
@@ -47,7 +48,7 @@ func TestFrameMonitorCustomThreshold(t *testing.T) {
 }
 
 func TestFrameMonitorFramingAlert(t *testing.T) {
-	m := NewFrameMonitor()
+	m := NewFrameMonitor(obs.NewRegistry())
 	v := m.Judge(FrameFeatures{SoftEVM: 0.1, BLEFraming: true})
 	if !v.Has(AlertBLEFraming) {
 		t.Error("BLE framing not flagged")
@@ -61,7 +62,8 @@ func TestFrameMonitorAlertOrderMatchesInspect(t *testing.T) {
 	// The IQ-tier Inspect appends unexpected-traffic, then fingerprint,
 	// then framing; the frame tier must agree so first-alert attribution
 	// is fidelity-independent.
-	m := &FrameMonitor{FingerprintThreshold: 0.27, ChannelExpected: false}
+	m := NewFrameMonitor(obs.NewRegistry())
+	m.ChannelExpected = false
 	v := m.Judge(FrameFeatures{SoftEVM: 0.4, BLEFraming: true})
 	want := []AlertKind{AlertUnexpectedTraffic, AlertModulationFingerprint, AlertBLEFraming}
 	if len(v.Alerts) != len(want) {
@@ -75,7 +77,8 @@ func TestFrameMonitorAlertOrderMatchesInspect(t *testing.T) {
 }
 
 func TestFrameMonitorUnexpectedTraffic(t *testing.T) {
-	m := &FrameMonitor{FingerprintThreshold: 0.27, ChannelExpected: false}
+	m := NewFrameMonitor(obs.NewRegistry())
+	m.ChannelExpected = false
 	v := m.Judge(FrameFeatures{SoftEVM: 0.05})
 	if !v.Has(AlertUnexpectedTraffic) || len(v.Alerts) != 1 {
 		t.Errorf("verdict alerts = %v, want only unexpected-traffic", v.Alerts)
@@ -84,7 +87,7 @@ func TestFrameMonitorUnexpectedTraffic(t *testing.T) {
 
 func TestFrameMonitorMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := &FrameMonitor{FingerprintThreshold: 0.27, ChannelExpected: true, Obs: reg}
+	m := NewFrameMonitor(reg)
 	m.Judge(FrameFeatures{SoftEVM: 0.1})
 	m.Judge(FrameFeatures{SoftEVM: 0.4})
 	m.Judge(FrameFeatures{SoftEVM: 0.4, BLEFraming: true})
@@ -96,6 +99,11 @@ func TestFrameMonitorMetrics(t *testing.T) {
 	}
 	if got := reg.Counter("wazabee_ids_frame_detections_total", "kind", AlertBLEFraming.String()).Value(); got != 1 {
 		t.Errorf("framing detections = %d, want 1", got)
+	}
+	// Handles create their series on first count: kinds that never
+	// fired leave nothing in the registry.
+	if n := len(reg.Snapshot()); n != 3 {
+		t.Errorf("registry holds %d series, want 3", n)
 	}
 }
 

@@ -111,6 +111,37 @@ type Monitor struct {
 	// detections by alert kind); nil falls back to the process default
 	// registry.
 	Obs *obs.Registry
+
+	met *monitorMetrics // bound to Obs; rebound when Obs changes
+}
+
+// monitorMetrics are one monitor's counter handles, bound to one
+// registry. Both tiers count the same families under their own prefix.
+type monitorMetrics struct {
+	reg         *obs.Registry
+	inspections *obs.LazyCounter
+	framesSeen  *obs.LazyCounter // IQ tier only
+	detections  [AlertUnexpectedTraffic + 1]*obs.LazyCounter
+}
+
+func newMonitorMetrics(reg *obs.Registry, prefix string) *monitorMetrics {
+	reg = obs.Or(reg)
+	mm := &monitorMetrics{
+		reg:         reg,
+		inspections: reg.LazyCounter(prefix + "inspections_total"),
+		framesSeen:  reg.LazyCounter(prefix + "frames_seen_total"),
+	}
+	for k := AlertBLEFraming; k <= AlertUnexpectedTraffic; k++ {
+		mm.detections[k] = reg.LazyCounter(prefix+"detections_total", "kind", k.String())
+	}
+	return mm
+}
+
+// countDetections counts each alert of v by kind.
+func (mm *monitorMetrics) countDetections(v *Verdict) {
+	for _, a := range v.Alerts {
+		mm.detections[a.Kind].Inc()
+	}
 }
 
 // NewMonitor builds a monitor at the given oversampling factor.
@@ -147,8 +178,10 @@ func (m *Monitor) Inspect(capture dsp.IQ) (*Verdict, error) {
 	if len(capture) == 0 {
 		return nil, fmt.Errorf("ids: empty capture")
 	}
-	reg := obs.Or(m.Obs)
-	reg.Counter("wazabee_ids_inspections_total").Inc()
+	if m.met == nil || m.met.reg != obs.Or(m.Obs) {
+		m.met = newMonitorMetrics(m.Obs, "wazabee_ids_")
+	}
+	m.met.inspections.Inc()
 	// The inner O-QPSK decoder reports to the same registry as the
 	// monitor that owns it.
 	m.zigbeePHY.Obs = m.Obs
@@ -187,10 +220,8 @@ func (m *Monitor) Inspect(capture dsp.IQ) (*Verdict, error) {
 		})
 	}
 	if verdict.FrameSeen {
-		reg.Counter("wazabee_ids_frames_seen_total").Inc()
+		m.met.framesSeen.Inc()
 	}
-	for _, a := range verdict.Alerts {
-		reg.Counter("wazabee_ids_detections_total", "kind", a.Kind.String()).Inc()
-	}
+	m.met.countDetections(verdict)
 	return verdict, nil
 }

@@ -9,6 +9,7 @@ import (
 	"wazabee/internal/chip"
 	"wazabee/internal/dsp"
 	"wazabee/internal/ieee802154"
+	"wazabee/internal/obs"
 	"wazabee/internal/zigbee"
 	vsim "wazabee/internal/zigbee/sim"
 )
@@ -207,6 +208,37 @@ func TestInspectNoiseOnly(t *testing.T) {
 	}
 	if _, err := m.Inspect(nil); err == nil {
 		t.Error("expected error for empty capture")
+	}
+}
+
+// TestInspectMetricsFollowObs checks the IQ monitor counts into
+// whichever registry Obs names at inspection time.
+func TestInspectMetricsFollowObs(t *testing.T) {
+	m := testMonitor(t)
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	m.Obs = first
+	frame := wazabeeFrame(t, chip.NRF52832())
+	if _, err := m.Inspect(frame); err != nil {
+		t.Fatal(err)
+	}
+	m.Obs = second
+	for i := 0; i < 2; i++ {
+		if _, err := m.Inspect(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		reg  *obs.Registry
+		want uint64
+	}{{first, 1}, {second, 2}} {
+		for _, name := range []string{"wazabee_ids_inspections_total", "wazabee_ids_frames_seen_total"} {
+			if got := c.reg.Counter(name).Value(); got != c.want {
+				t.Errorf("%s = %d, want %d", name, got, c.want)
+			}
+		}
+		if got := c.reg.Counter("wazabee_ids_detections_total", "kind", AlertModulationFingerprint.String()).Value(); got != c.want {
+			t.Errorf("fingerprint detections = %d, want %d", got, c.want)
+		}
 	}
 }
 

@@ -159,6 +159,38 @@ func (r *Registry) Counter(name string, labelPairs ...string) *Counter {
 	return s.counter
 }
 
+// LazyCounter is a counter handle for hot paths whose series may never
+// count: the name and labels are normalised once, when the handle is
+// made, and the series is created on the first Inc or Add — so the
+// registry's contents stay what by-name lookups at the same sites would
+// leave, while every later increment is one atomic load and add. Like
+// any resolved handle it keeps counting into its series after the
+// registry is Reset.
+type LazyCounter struct {
+	reg    *Registry
+	name   string
+	labels []Label
+	c      atomic.Pointer[Counter]
+}
+
+// LazyCounter returns a handle on the counter for name and labels,
+// without creating the series yet.
+func (r *Registry) LazyCounter(name string, labelPairs ...string) *LazyCounter {
+	return &LazyCounter{reg: r, name: name, labels: labelSet(labelPairs)}
+}
+
+// Inc adds one, creating the series on first use.
+func (l *LazyCounter) Inc() {
+	c := l.c.Load()
+	if c == nil {
+		c = l.reg.lookup(l.name, "counter", l.labels, func(s *series) {
+			s.counter = &Counter{}
+		}).counter
+		l.c.Store(c)
+	}
+	c.Inc()
+}
+
 // Gauge returns (creating if needed) the gauge for name and labels.
 func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
 	s := r.lookup(name, "gauge", labelSet(labelPairs), func(s *series) {

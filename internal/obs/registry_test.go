@@ -191,6 +191,37 @@ func TestKindCollisionPanics(t *testing.T) {
 	reg.Gauge("x_total")
 }
 
+// TestLazyCounter checks a lazy handle leaves no series behind until it
+// counts, then counts into the same series a by-name lookup returns,
+// from concurrent first uses, without allocating once resolved.
+func TestLazyCounter(t *testing.T) {
+	reg := NewRegistry()
+	l := reg.LazyCounter("lazy_total", "path", "b", "kind", "a")
+	if n := len(reg.Snapshot()); n != 0 {
+		t.Fatalf("unused handle left %d series", n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				l.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reg.Counter("lazy_total", "kind", "a", "path", "b").Value(); got != 400 {
+		t.Errorf("by-name value = %d, want 400", got)
+	}
+	if n := len(reg.Snapshot()); n != 1 {
+		t.Errorf("snapshot has %d series, want 1", n)
+	}
+	if allocs := testing.AllocsPerRun(100, l.Inc); allocs != 0 {
+		t.Errorf("resolved Inc allocates %.1f times", allocs)
+	}
+}
+
 func TestReset(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total").Inc()

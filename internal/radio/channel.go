@@ -174,7 +174,8 @@ type ChannelOptions struct {
 }
 
 // Channel returns a frame-delivery channel over this medium at the given
-// fidelity tier.
+// fidelity tier. The symbol and frame tiers bind their counters to the
+// medium's registry here, so set Medium.Obs first.
 func (m *Medium) Channel(f Fidelity, opts ChannelOptions) (Channel, error) {
 	switch f {
 	case FidelityIQ:
@@ -195,10 +196,11 @@ func (m *Medium) Channel(f Fidelity, opts ChannelOptions) (Channel, error) {
 		if err != nil {
 			return nil, err
 		}
+		reg := obs.Or(m.Obs)
 		if f == FidelitySymbol {
-			return &symbolChannel{m: m, prof: prof}, nil
+			return &symbolChannel{m: m, prof: prof, ctr: newTierCounters(reg, "symbol")}, nil
 		}
-		return &frameChannel{m: m, prof: prof}, nil
+		return &frameChannel{m: m, prof: prof, ctr: newTierCounters(reg, "virtual")}, nil
 	default:
 		return nil, fmt.Errorf("radio: unknown fidelity %v", f)
 	}
@@ -227,6 +229,21 @@ func passband(txFreqMHz, rxFreqMHz float64) (inBand, adjacent bool) {
 		sep = -sep
 	}
 	return sep < 2, sep >= 1 && sep < 2
+}
+
+// tierCounters are the per-frame counters of the symbol and frame tiers,
+// bound once per Channel: bursts by path (the tier's in-band and
+// out-of-band deliveries) and frames the tier erased.
+type tierCounters struct {
+	inBand, outOfBand, erased *obs.LazyCounter
+}
+
+func newTierCounters(reg *obs.Registry, tier string) tierCounters {
+	return tierCounters{
+		inBand:    reg.LazyCounter("wazabee_medium_bursts_total", "path", tier+"_in_band"),
+		outOfBand: reg.LazyCounter("wazabee_medium_bursts_total", "path", tier+"_out_of_band"),
+		erased:    reg.LazyCounter("wazabee_medium_" + tier + "_erased_total"),
+	}
 }
 
 // seedStream is a SplitMix64 sequence generator: the per-delivery random
@@ -305,15 +322,15 @@ func (c *iqChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 type symbolChannel struct {
 	m    *Medium
 	prof *CalProfile
+	ctr  tierCounters
 }
 
 func (c *symbolChannel) Fidelity() Fidelity { return FidelitySymbol }
 
 func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
-	reg := obs.Or(c.m.Obs)
 	inBand, adjacent := passband(spec.TxFreqMHz, spec.RxFreqMHz)
 	if !inBand {
-		reg.Counter("wazabee_medium_bursts_total", "path", "symbol_out_of_band").Inc()
+		c.ctr.outOfBand.Inc()
 		return FrameOutcome{}, nil
 	}
 	psduLen := spec.psduLen()
@@ -334,7 +351,7 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 		// receiver hands back nothing. The calibration pass folds all
 		// three into SyncFail, so the gate is not re-applied here.
 		out.DecodeErr = ieee802154.ErrNoSync
-		reg.Counter("wazabee_medium_symbol_erased_total").Inc()
+		c.ctr.erased.Inc()
 		return out, nil
 	}
 
@@ -373,7 +390,7 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 		}
 		if got != txSym {
 			out.DecodeErr = ieee802154.ErrNoSync
-			reg.Counter("wazabee_medium_symbol_erased_total").Inc()
+			c.ctr.erased.Inc()
 			return out, nil
 		}
 	}
@@ -404,9 +421,9 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 	} else {
 		out.Valid = clean
 	}
-	reg.Counter("wazabee_medium_bursts_total", "path", "symbol_in_band").Inc()
+	c.ctr.inBand.Inc()
 	if !out.Valid {
-		reg.Counter("wazabee_medium_symbol_erased_total").Inc()
+		c.ctr.erased.Inc()
 	}
 	return out, nil
 }
@@ -418,6 +435,7 @@ func (c *symbolChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 type frameChannel struct {
 	m    *Medium
 	prof *CalProfile
+	ctr  tierCounters
 
 	// memo caches the most recent operating point → probability mapping;
 	// virtual meshes deliver millions of frames at a handful of distinct
@@ -457,10 +475,9 @@ func (c *frameChannel) successProb(eff, cfo, wifi float64, psduLen int) float64 
 }
 
 func (c *frameChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
-	reg := obs.Or(c.m.Obs)
 	inBand, adjacent := passband(spec.TxFreqMHz, spec.RxFreqMHz)
 	if !inBand {
-		reg.Counter("wazabee_medium_bursts_total", "path", "virtual_out_of_band").Inc()
+		c.ctr.outOfBand.Inc()
 		return FrameOutcome{}, nil
 	}
 	eff := spec.Link.SNRdB
@@ -475,12 +492,12 @@ func (c *frameChannel) Deliver(spec FrameSpec) (FrameOutcome, error) {
 	if rng.float64() < prob {
 		out.Valid = true
 		out.PSDU = spec.PSDU
-		reg.Counter("wazabee_medium_bursts_total", "path", "virtual_in_band").Inc()
+		c.ctr.inBand.Inc()
 	} else {
 		// At frame granularity an erasure is indistinguishable from a
 		// sync failure: nothing reaches the MAC.
 		out.DecodeErr = ieee802154.ErrNoSync
-		reg.Counter("wazabee_medium_virtual_erased_total").Inc()
+		c.ctr.erased.Inc()
 	}
 	return out, nil
 }

@@ -419,3 +419,87 @@ func TestSymbolCorrectProbTable(t *testing.T) {
 		t.Errorf("P[decode | 16 errors] = %g, want near-random despreading", p[16])
 	}
 }
+
+// TestFrameChannelDeliverAllocFree gates the frame tier's hot path at
+// zero allocations per in-band delivery, delivered or erased.
+func TestFrameChannelDeliverAllocFree(t *testing.T) {
+	ch := frameTier(t, 1)
+	spec := FrameSpec{PSDULen: 40, TxFreqMHz: 2420, RxFreqMHz: 2420, Link: Link{SNRdB: 2}}
+	deliver := func() {
+		spec.Seed++
+		if _, err := ch.Deliver(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		deliver() // both outcomes occur at 2 dB: resolve every counter
+	}
+	if allocs := testing.AllocsPerRun(1000, deliver); allocs != 0 {
+		t.Errorf("frame-tier Deliver allocates %.2f times per frame, want 0", allocs)
+	}
+}
+
+// TestTierCountersMatchOutcomes checks the symbol and frame tiers count
+// into the registry the medium held when the channel was built: no
+// series before the first delivery, then per-path burst and erasure
+// counts equal to the outcomes Deliver returned.
+func TestTierCountersMatchOutcomes(t *testing.T) {
+	for _, tc := range []struct {
+		f    Fidelity
+		tier string
+	}{{FidelitySymbol, "symbol"}, {FidelityFrame, "virtual"}} {
+		m, err := NewMedium(16e6, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		m.Obs = reg
+		ch, err := m.Channel(tc.f, ChannelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Obs = nil // the channel keeps the registry it was built with
+		if n := len(reg.Snapshot()); n != 0 {
+			t.Fatalf("%v: %d series before any delivery", tc.f, n)
+		}
+		var inBand, outOfBand, erased uint64
+		for seed := uint64(0); seed < 600; seed++ {
+			rx := 2420.0
+			if seed%5 == 0 {
+				rx = 2470
+			}
+			out := deliverLen(t, ch, 30, rx, 1.5, seed)
+			switch {
+			case !out.InBand:
+				outOfBand++
+			case !out.Delivered():
+				erased++
+			}
+			// The symbol tier counts every frame it despreads to the
+			// end as an in-band burst, corrupt or not; the frame tier
+			// only the frames it delivers.
+			if (tc.f == FidelitySymbol && out.Received()) || (tc.f == FidelityFrame && out.Delivered()) {
+				inBand++
+			}
+		}
+		if inBand == 0 || erased == 0 {
+			t.Fatalf("%v: in-band %d, erased %d: pick an SNR where both occur", tc.f, inBand, erased)
+		}
+		for _, c := range []struct {
+			name   string
+			labels []string
+			want   uint64
+		}{
+			{"wazabee_medium_bursts_total", []string{"path", tc.tier + "_in_band"}, inBand},
+			{"wazabee_medium_bursts_total", []string{"path", tc.tier + "_out_of_band"}, outOfBand},
+			{"wazabee_medium_" + tc.tier + "_erased_total", nil, erased},
+		} {
+			if got := reg.Counter(c.name, c.labels...).Value(); got != c.want {
+				t.Errorf("%v: %s%v = %d, want %d", tc.f, c.name, c.labels, got, c.want)
+			}
+		}
+		if n := len(reg.Snapshot()); n != 3 {
+			t.Errorf("%v: registry holds %d series, want the 3 tier counters", tc.f, n)
+		}
+	}
+}

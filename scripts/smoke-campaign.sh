@@ -19,7 +19,7 @@ BIN="$WORKDIR/wazabeecampaign"
 #             -trials 20 -seed 7 (default thresholds).
 # Update only for an intended campaign/simulator behavior change, in
 # lockstep with the goldens in internal/campaign/campaign_test.go.
-WANT="cd5b5bfbb7948b0b618dc5cc6f00e220b94264831102f348db372009d590111a"
+WANT="4570f67983f1968a35ab1902d2f5ad6deb46299a688c204cbab02667bb7c0d4d"
 
 cleanup() {
     rm -rf "$WORKDIR"
