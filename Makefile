@@ -18,8 +18,10 @@ race:
 # Full benchmark sweep with allocation counts, repeated for statistical
 # stability, persisted both as raw text (bench.out — feed two of these to
 # benchstat to compare revisions) and as machine-readable BENCH.json.
-# BenchmarkWazaBeeRX/TX are the pre-streaming "before" paths;
-# BenchmarkRxStream/BenchmarkTxPooled are the pooled streaming "after".
+# BenchmarkWazaBeeRX/TX run one whole capture or frame per call;
+# BenchmarkRxStream/BenchmarkTxPooled reuse one stream and pooled
+# buffers across calls; BenchmarkZigbeeRX is the stick demodulating the
+# frame BenchmarkWazaBeeRX receives, through the same receive chain.
 BENCHCOUNT ?= 5
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCHCOUNT) . | tee bench.out
@@ -27,7 +29,8 @@ bench:
 
 # Short smoke runs of the native fuzzers: the capture readers must never
 # panic on corrupt pcap/ZEP/TCP-record input, the streaming receiver must
-# decode byte-identically for any fuzzed chunking of a capture, and the
+# decode byte-identically for any fuzzed chunking of a capture (the
+# WazaBee Access Address and the stick's O-QPSK preamble alike), and the
 # BLE advertising, 802.15.4, Zigbee NWK/APS/ZCL and 6LoWPAN parsers must
 # reject hostile input without panicking, and the mesh simulator must
 # absorb any intruder-injected MAC frame with its energy ledger,
@@ -42,15 +45,18 @@ fuzz:
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParseMACFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzParsePPDU -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzOpenFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ieee802154 -run '^$$' -fuzz FuzzOQPSKStreamChunks -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sixlowpan -run '^$$' -fuzz FuzzReassembler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee -run '^$$' -fuzz FuzzParseZigbeeDataFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/zigbee/sim -run '^$$' -fuzz FuzzIntruderFrame -fuzztime $(FUZZTIME)
 
-# The concurrent per-channel streaming test under the race detector:
-# many RxStreams plus whole-capture calls sharing one Receiver/registry.
+# The concurrent receiver tests under the race detector: many RxStreams
+# plus whole-capture calls sharing one Receiver/registry, and the stick's
+# DemodulateStats and the BLE DemodulateFrame called concurrently on one
+# shared PHY each and one registry.
 racestream:
-	$(GO) test -race -run TestStreamConcurrentChannels -count 4 ./internal/core
+	$(GO) test -race -run 'TestStreamConcurrentChannels|TestSharedReceiversConcurrent' -count 4 ./internal/core
 
 # The Monte-Carlo runner hammered under the race detector: worker-pool
 # churn and concurrent sweeps on one shared registry, with exact shard

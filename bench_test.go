@@ -264,14 +264,11 @@ func BenchmarkWazaBeeTX(b *testing.B) {
 	reportStageMetrics(b, reg)
 }
 
-// BenchmarkWazaBeeRX measures the reception primitive's demodulation and
-// despreading cost.
-func BenchmarkWazaBeeRX(b *testing.B) {
+// benchRXCapture is the frame both receive benchmarks demodulate: an
+// nRF52832 WazaBee transmission padded with silence.
+func benchRXCapture(b *testing.B) dsp.IQ {
+	b.Helper()
 	tx, err := chip.NRF52832().NewWazaBeeTransmitter(benchSPS)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx, err := chip.CC1352R1().NewWazaBeeReceiver(benchSPS)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,11 +281,42 @@ func BenchmarkWazaBeeRX(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return padded
+}
+
+// BenchmarkWazaBeeRX measures the reception primitive's demodulation and
+// despreading cost.
+func BenchmarkWazaBeeRX(b *testing.B) {
+	rx, err := chip.CC1352R1().NewWazaBeeReceiver(benchSPS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	padded := benchRXCapture(b)
 	reg := obs.NewRegistry()
 	rx.Obs = reg
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rx.Receive(padded); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportStageMetrics(b, reg)
+}
+
+// BenchmarkZigbeeRX measures the native receiver: the RZUSBStick's
+// O-QPSK demodulator on the frame BenchmarkWazaBeeRX receives, through
+// the same MSK receive chain with the stick's preamble pattern.
+func BenchmarkZigbeeRX(b *testing.B) {
+	stick, err := chip.RZUSBStick().NewZigbeePHY(benchSPS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	padded := benchRXCapture(b)
+	reg := obs.NewRegistry()
+	stick.Obs = reg
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stick.Demodulate(padded); err != nil {
 			b.Fatal(err)
 		}
 	}

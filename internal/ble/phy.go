@@ -208,61 +208,41 @@ func (p *PHY) DemodulateFrame(sig dsp.IQ, pattern bitstream.Bits, maxErrors int)
 	if len(sig) < (len(pattern)+2)*sps {
 		return nil, ErrNoAccessAddress
 	}
-	incs := dsp.Discriminate(sig)
 
-	// Synchronisation: hard-correlate at every sampling phase (the
-	// address correlator's error budget), then rank the qualifying
-	// candidates by their soft correlation. Hard matching alone can
-	// false-lock on payload coincidences at a wrongly timed phase, and
-	// soft scores alone drift at wrong phases — the combination keeps
-	// only the phase with a fully open eye.
-	bestPhase, bestPos, bestErrs := -1, 0, 0
-	var bestScore float64
-	for phase := 0; phase < sps; phase++ {
-		sums := dsp.IntegrateSymbols(incs, phase, sps)
-		bits := dsp.SliceBits(sums)
-		pos, errs, ok := dsp.FindPattern(bits, pattern, maxErrors)
-		if !ok {
-			continue
-		}
-		score, ok := dsp.SoftScore(sums, pattern, pos)
-		if !ok {
-			continue
-		}
-		if bestPhase < 0 || score > bestScore {
-			bestPhase, bestPos, bestErrs, bestScore = phase, pos, errs, score
-		}
-	}
-	if bestPhase < 0 {
+	// Synchronisation: the streaming correlator hard-correlates at every
+	// sampling phase within the address correlator's error budget, then
+	// ranks the qualifying candidates by their soft correlation. Hard
+	// matching alone can false-lock on payload coincidences at a wrongly
+	// timed phase, and soft scores alone drift at wrong phases — the
+	// combination keeps only the phase with a fully open eye.
+	pool := stream.Shared()
+	var disc stream.Discriminator
+	incs := disc.Process(sig, pool.F64(len(sig)))
+	corr := stream.NewCorrelator(pool, pattern, maxErrors, sps)
+	defer corr.Close()
+	corr.Process(incs)
+	pool.PutF64(incs)
+	best, ok := corr.Best()
+	if !ok {
 		return nil, ErrNoAccessAddress
 	}
-
-	sums := dsp.IntegrateSymbols(incs, bestPhase, sps)
+	sums := corr.Sums(best.Phase)
 
 	// Estimate the CFO bias over the pattern window and re-slice.
 	nominal := math.Pi * p.ModulationIndex
-	var bias float64
-	for i, want := range pattern {
-		expected := nominal
-		if want == 0 {
-			expected = -expected
-		}
-		bias += sums[bestPos+i] - expected
-	}
-	bias /= float64(len(pattern))
-
-	bits := make(bitstream.Bits, len(sums)-bestPos)
+	bias := corr.Bias(best, nominal)
+	bits := make(bitstream.Bits, len(sums)-best.Pos)
 	for i := range bits {
-		if sums[bestPos+i]-bias > 0 {
+		if sums[best.Pos+i]-bias > 0 {
 			bits[i] = 1
 		}
 	}
 	return &Capture{
 		Bits:          bits,
-		PatternErrors: bestErrs,
-		PatternStart:  bestPos,
-		SampleOffset:  bestPhase,
-		SyncScore:     bestScore / (float64(len(pattern)) * nominal),
+		PatternErrors: best.Errors,
+		PatternStart:  best.Pos,
+		SampleOffset:  best.Phase,
+		SyncScore:     best.Score / (float64(len(pattern)) * nominal),
 		CFOBias:       bias,
 	}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"wazabee/internal/ble"
@@ -70,13 +71,9 @@ func (r *Receiver) Receive(sig dsp.IQ) (*ieee802154.Demodulated, error) {
 // per-frame link diagnostics. The stats are never nil: every attempt —
 // sync failure, mid-frame abort, quality-gate drop or clean decode —
 // yields a finalized record with at least the capture RSSI, and the
-// record is also fed to the receiver's metrics registry.
-//
-// Since the streaming refactor this is a thin wrapper over a
-// single-capture RxStream (one Push, one Flush); the results — frame
-// bytes, stats, error chains, metrics — are identical to the former
-// one-shot implementation. Each call runs on a fresh stream, so
-// concurrent calls on one Receiver remain safe.
+// record is also fed to the receiver's metrics registry. It is one Push
+// and one Flush of a fresh RxStream, so concurrent calls on one Receiver
+// are safe.
 func (r *Receiver) ReceiveStats(sig dsp.IQ) (*ieee802154.Demodulated, *link.Stats, error) {
 	return r.ReceiveStatsAt(time.Time{}, sig)
 }
@@ -94,6 +91,19 @@ func (r *Receiver) ReceiveStatsAt(origin time.Time, sig dsp.IQ) (*ieee802154.Dem
 	s.SetOrigin(origin)
 	s.Push(sig)
 	return s.Flush()
+}
+
+// RxStream is the streaming form of the WazaBee receiver: the one MSK
+// receive chain of ieee802154.RxStream, configured as the diverted BLE
+// chip runs it.
+type RxStream = ieee802154.RxStream
+
+// Stream builds a fresh streaming receiver sharing this Receiver's
+// configuration (PHY, pattern-error budget, chip-distance gate,
+// registry and trace, snapshotted at creation).
+func (r *Receiver) Stream() *RxStream {
+	return ieee802154.NewDivertedRxStream(AccessPattern(), r.MaxPatternErrors, r.phy.SamplesPerSymbol,
+		math.Pi*r.phy.ModulationIndex, r.MaxChipDistance, ble.ErrNoAccessAddress, obs.Or(r.Obs), r.Trace)
 }
 
 // PHY exposes the underlying BLE modem.

@@ -378,6 +378,73 @@ func TestStreamConcurrentChannels(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSharedReceiversConcurrent hammers the stick and the BLE
+// access-address search the way experiment workers and calib share
+// them: concurrent PHY.DemodulateStats and ble.DemodulateFrame calls on
+// one ieee802154.PHY and one ble.PHY, alongside WazaBee receptions, all
+// into one registry. Every call must give the sequential verdict and
+// the registry must count every call. Run under -race by make
+// racestream.
+func TestSharedReceiversConcurrent(t *testing.T) {
+	sig := goldenCapture(t)
+	rx, reg := newStreamReceiver(t)
+	stick := zigbeePHY(t)
+	stick.Obs = reg
+	aa := AccessPattern()
+	wantDem, wantSt, err := stick.DemodulateStats(sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCap, err := rx.PHY().DemodulateFrame(sig, aa, rx.MaxPatternErrors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRx, _, err := rx.ReceiveStats(sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const goroutines, calls = 6, 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				switch g % 3 {
+				case 0:
+					dem, st, err := stick.DemodulateStats(sig)
+					if err != nil || !bytes.Equal(dem.PPDU.PSDU, wantDem.PPDU.PSDU) ||
+						dem.SoftEVM != wantDem.SoftEVM || *st != *wantSt {
+						t.Errorf("goroutine %d: DemodulateStats diverged (%v)", g, err)
+					}
+				case 1:
+					got, err := rx.PHY().DemodulateFrame(sig, aa, rx.MaxPatternErrors)
+					if err != nil || !bytes.Equal(got.Bits, wantCap.Bits) || got.CFOBias != wantCap.CFOBias ||
+						got.SampleOffset != wantCap.SampleOffset || got.SyncScore != wantCap.SyncScore {
+						t.Errorf("goroutine %d: DemodulateFrame diverged (%v)", g, err)
+					}
+				default:
+					dem, _, err := rx.ReceiveStats(sig)
+					if err != nil || !bytes.Equal(dem.PPDU.PSDU, wantRx.PPDU.PSDU) {
+						t.Errorf("goroutine %d: ReceiveStats diverged (%v)", g, err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	const perKind = 1 + goroutines/3*calls
+	for _, decoder := range []string{"oqpsk", "wazabee"} {
+		if got := reg.Counter("wazabee_frames_received_total", "decoder", decoder).Value(); got != perKind {
+			t.Errorf("frames_received{decoder=%s} = %d, want %d", decoder, got, perKind)
+		}
+		if got := reg.Counter(link.MetricFrames, "result", "decoded", "decoder", decoder).Value(); got != perKind {
+			t.Errorf("%s{decoded,%s} = %d, want %d", link.MetricFrames, decoder, got, perKind)
+		}
+	}
+}
+
 // fuzzGolden lazily builds the fuzz corpus capture and its one-shot
 // expectation (fuzz functions may run in parallel processes; each builds
 // its own).

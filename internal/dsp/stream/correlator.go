@@ -4,14 +4,14 @@ import (
 	"wazabee/internal/dsp"
 )
 
-// Correlator is the streaming Access-Address/preamble synchronisation
-// stage. It accumulates phase increments, maintains the per-sampling-
-// phase symbol sums and hard bit decisions incrementally, and scans
-// each phase for the bit pattern with the exact candidate-selection
-// semantics of the one-shot receiver (dsp.FindPattern ranking plus
-// dsp.SoftScore tie-breaking across phases): per phase the candidate
-// with the fewest mismatches wins, earliest position on ties, scanning
-// freezes once a zero-error match is found; across phases the
+// Correlator is the sync search of every MSK receiver: the WazaBee
+// Access Address, the 802.15.4 preamble window and the BLE Access
+// Address all lock here. It integrates phase increments into
+// per-sampling-phase symbol sums and hard bit decisions incrementally,
+// and scans each phase for the bit pattern (dsp.FindPattern ranking
+// plus dsp.SoftScore tie-breaking across phases): per phase the
+// candidate with the fewest mismatches wins, earliest position on ties,
+// scanning freezes once a zero-error match is found; across phases the
 // qualifying candidate with the highest soft correlation wins.
 //
 // All carry-over state — partial symbol windows at chunk boundaries,
@@ -29,8 +29,11 @@ type Correlator struct {
 	// one candidate search per sampling phase.
 	SPS int
 
-	pool   *BufferPool
+	pool *BufferPool
+	// incs holds the increments of the unfinished symbol windows; off
+	// is the stream index of incs[0].
 	incs   []float64
+	off    int
 	phases []phaseState
 }
 
@@ -73,7 +76,7 @@ func (c *Correlator) Name() string { return "aa-correlate" }
 // Reset implements Stage: it drops every retained increment and
 // candidate while keeping buffer capacity.
 func (c *Correlator) Reset() {
-	c.incs = c.incs[:0]
+	c.incs, c.off = c.incs[:0], 0
 	for p := range c.phases {
 		ps := &c.phases[p]
 		ps.sums = ps.sums[:0]
@@ -103,32 +106,40 @@ func (c *Correlator) Process(incs []float64) {
 }
 
 // extend grows every phase's symbol sums/bits to cover the retained
-// increments and advances its candidate scan.
+// increments and advances its candidate scan, then drops the increments
+// every phase has integrated, so only partial windows carry over.
 func (c *Correlator) extend() {
 	sps := c.SPS
+	total := c.off + len(c.incs)
+	next := total
 	for p := range c.phases {
 		ps := &c.phases[p]
 		// Complete symbol windows available at this phase. The inner
 		// summation order matches dsp.IntegrateSymbols exactly so the
 		// floating-point results are bit-identical.
-		if p < len(c.incs) {
-			n := (len(c.incs) - p) / sps
-			for k := len(ps.sums); k < n; k++ {
+		if p < total {
+			n := (total - p) / sps
+			sums, bits := ps.sums, ps.bits
+			for k := len(sums); k < n; k++ {
 				var sum float64
-				base := p + k*sps
-				for i := 0; i < sps; i++ {
-					sum += c.incs[base+i]
+				base := p + k*sps - c.off
+				for _, v := range c.incs[base : base+sps] {
+					sum += v
 				}
-				ps.sums = append(ps.sums, sum)
+				sums = append(sums, sum)
 				if sum > 0 {
-					ps.bits = append(ps.bits, 1)
+					bits = append(bits, 1)
 				} else {
-					ps.bits = append(ps.bits, 0)
+					bits = append(bits, 0)
 				}
 			}
+			ps.sums, ps.bits = sums, bits
 		}
+		next = min(next, p+len(ps.sums)*sps)
 		c.scanPhase(ps)
 	}
+	c.incs = c.incs[:copy(c.incs, c.incs[next-c.off:])]
+	c.off = next
 }
 
 // scanPhase advances the candidate search over newly available windows,
@@ -176,8 +187,8 @@ type Candidate struct {
 }
 
 // Best returns the current cross-phase winner, ranked by soft
-// correlation with ties resolving to the lowest phase — the same
-// decision the one-shot receiver makes over the data seen so far.
+// correlation with ties resolving to the lowest phase, over the data
+// seen so far.
 func (c *Correlator) Best() (Candidate, bool) {
 	var best Candidate
 	found := false
@@ -198,9 +209,22 @@ func (c *Correlator) Best() (Candidate, bool) {
 	return best, found
 }
 
+// Bias estimates the carrier-frequency-offset bias of a candidate: the
+// mean residual of its pattern window's symbol sums from the nominal
+// ±nominal phase step per symbol.
+func (c *Correlator) Bias(cand Candidate, nominal float64) float64 {
+	sums := c.phases[cand.Phase].sums
+	var bias float64
+	for i, want := range c.Pattern {
+		expected := nominal
+		if want == 0 {
+			expected = -expected
+		}
+		bias += sums[cand.Pos+i] - expected
+	}
+	return bias / float64(len(c.Pattern))
+}
+
 // Sums exposes a phase's symbol sums (read-only; valid until the next
 // Process or Reset).
 func (c *Correlator) Sums(phase int) []float64 { return c.phases[phase].sums }
-
-// Len returns the number of retained increments.
-func (c *Correlator) Len() int { return len(c.incs) }

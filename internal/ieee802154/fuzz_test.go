@@ -2,7 +2,15 @@ package ieee802154
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
+
+	"wazabee/internal/bitstream"
+	"wazabee/internal/dsp"
+	"wazabee/internal/obs"
+	"wazabee/internal/obs/link"
 )
 
 // FuzzParseMACFrame hunts for panics and encode/parse asymmetries in the
@@ -75,6 +83,91 @@ func FuzzOpenFrame(f *testing.F) {
 		}
 		if !bytes.Equal(again, secured) {
 			t.Fatalf("authenticated ciphertext is not canonical")
+		}
+	})
+}
+
+// oqpskFuzzCapture is the fuzzed O-QPSK capture: a frame at 3 dB SNR
+// with a 60 kHz CFO, whose preamble locks with 4 pattern errors — inside
+// the stick's 6-error budget over 63 transitions and beyond anything the
+// WazaBee receiver's 3-error, 32-bit Access Address search can reach.
+func oqpskFuzzCapture(tb testing.TB) (*PHY, dsp.IQ) {
+	tb.Helper()
+	phy, err := NewPHY(8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fcs := bitstream.FCS16Bytes(bitstream.FCS16([]byte{0x61, 0x88, 0x2a, 0x34, 0x12}))
+	ppdu, err := NewPPDU([]byte{0x61, 0x88, 0x2a, 0x34, 0x12, fcs[0], fcs[1]})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base, err := phy.Modulate(ppdu)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sig, err := base.Pad(300, 200)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sig.MixFrequency(60e3 / (8 * ChipRate))
+	if err := dsp.AddAWGN(sig, 3, rand.New(rand.NewSource(12))); err != nil {
+		tb.Fatal(err)
+	}
+	return phy, sig
+}
+
+// rxVerdict renders a receive attempt — error, frame evidence, link
+// stats and every registry series except the per-Push stage timings —
+// for comparing chunkings.
+func rxVerdict(dem *Demodulated, st *link.Stats, err error, reg *obs.Registry) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "err=%v\nstats %s\n", err, floatFields(*st))
+	if dem != nil {
+		fmt.Fprintf(&b, "dem psdu=%x sync=%d off=%d cfo=%v corr=%v evm=%v worst=%d total=%d hist=%v span=%d\n",
+			dem.PPDU.PSDU, dem.SyncErrors, dem.SampleOffset, dem.CFOBias, dem.SyncCorr, dem.SoftEVM,
+			dem.WorstChipDistance, dem.TotalChipDistance, dem.ChipDistHist, dem.TransitionSpan)
+	}
+	for _, line := range registryLines(reg) {
+		if !strings.HasPrefix(line, obs.StageSecondsMetric+"{") {
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
+}
+
+// FuzzOQPSKStreamChunks fuzzes the chunking of a noisy O-QPSK capture
+// through the stick's receiver: each input byte picks the next chunk
+// length, and any chunking must give the verdict of a single Push —
+// frame, stats, error and registry counts.
+func FuzzOQPSKStreamChunks(f *testing.F) {
+	phy, sig := oqpskFuzzCapture(f)
+	phy.Obs = obs.NewRegistry()
+	dem, st, err := phy.DemodulateStats(sig)
+	if err != nil || dem.SyncErrors <= 3 {
+		f.Fatalf("fuzz capture decodes with %v, %d sync errors; want a decode beyond the 3-error AA budget", err, st.SyncErrors)
+	}
+	want := rxVerdict(dem, st, err, phy.Obs)
+	f.Add([]byte{1})
+	f.Add([]byte{7, 31, 255, 0})
+	f.Add([]byte{199, 199, 199, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, cuts []byte) {
+		phy, sig := oqpskFuzzCapture(t)
+		phy.Obs = obs.NewRegistry()
+		s := phy.stream()
+		defer s.Close()
+		for start, i := 0, 0; start < len(sig); i++ {
+			n := 1
+			if len(cuts) > 0 {
+				n = 1 + int(cuts[i%len(cuts)])
+			}
+			end := min(start+n, len(sig))
+			s.Push(sig[start:end])
+			start = end
+		}
+		dem, st, err := s.Flush()
+		if got := rxVerdict(dem, st, err, phy.Obs); got != want {
+			t.Fatalf("chunked verdict differs from one Push:\n got %s\nwant %s", got, want)
 		}
 	})
 }

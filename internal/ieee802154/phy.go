@@ -3,7 +3,6 @@ package ieee802154
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"wazabee/internal/bitstream"
 	"wazabee/internal/dsp"
@@ -126,12 +125,14 @@ type Demodulated struct {
 	// position to the end of the decoded frame.
 	TransitionSpan int
 	// SoftEVM is the RMS deviation of the per-chip phase accumulation
-	// from the nominal ±π/2, after CFO compensation. A native O-QPSK
-	// transmitter approaches zero on a clean channel; a diverted GFSK
-	// transmitter keeps a floor from its Gaussian inter-symbol
-	// interference — the modulation fingerprint the IDS countermeasure
-	// of section VII thresholds. Only set by Demodulate (the bit-level
-	// decoder has no access to soft values).
+	// from the receiver's nominal step (±π/2; ±π·h on a diverted BLE
+	// chip) over the decoded frame span, after CFO compensation. A
+	// native O-QPSK transmitter approaches zero on a clean channel; a
+	// diverted GFSK transmitter keeps a floor from its Gaussian
+	// inter-symbol interference — the modulation fingerprint the IDS
+	// countermeasure of section VII thresholds. Set by the Flush that
+	// concludes the frame, so a frame Push emits carries it only after
+	// that Flush.
 	SoftEVM float64
 	// SyncErrors is the number of mismatched bits in the preamble
 	// correlation window.
@@ -142,20 +143,13 @@ type Demodulated struct {
 	// CFOBias is the estimated carrier-frequency-offset contribution to
 	// each per-chip phase accumulation, in radians.
 	CFOBias float64
-	// SyncCorr is the normalized soft correlation of the preamble sync
-	// pattern (nominal 1.0). Only set by the demodulators.
+	// SyncCorr is the normalized soft correlation of the sync pattern
+	// (nominal 1.0).
 	SyncCorr float64
 	// Link carries the frame's full link-quality diagnostics (estimated
-	// SNR, CFO in Hz, chip error rate, LQI). Populated by
-	// DemodulateStats and core.Receiver.ReceiveStats.
+	// SNR, CFO in Hz, chip error rate, LQI), attached by the concluding
+	// RxStream.Flush — the same record Flush returns.
 	Link *link.Stats
-}
-
-// syncPattern returns the MSK transition pattern of two consecutive zero
-// symbols — the stream a receiver sees during the all-zero preamble.
-func syncPattern() bitstream.Bits {
-	double := append(bitstream.Clone(pnTable[0]), pnTable[0]...)
-	return ChipTransitions(double)
 }
 
 // Demodulate runs the noncoherent MSK-approximation receiver over a
@@ -177,239 +171,14 @@ func (p *PHY) Demodulate(sig dsp.IQ) (*Demodulated, error) {
 // quality gate still reports whatever evidence the receiver gathered
 // before giving up (whole-capture RSSI at minimum), with LQI already
 // finalized and the frame counted into the registry's link series.
-func (p *PHY) DemodulateStats(sig dsp.IQ) (*Demodulated, *link.Stats, error) {
-	reg := obs.Or(p.Obs)
-	st := &link.Stats{RSSIdBFS: link.RSSIdBFS(sig)}
-	defer func() {
-		st.Finalize()
-		link.Observe(reg, st, "decoder", "oqpsk")
-	}()
-
-	sps := p.SamplesPerChip
-	if len(sig) < 4*ChipsPerSymbol*sps {
-		reg.Counter("wazabee_sync_failures_total", "decoder", "oqpsk").Inc()
-		return nil, st, ErrNoSync
-	}
-	endDemod := obs.Stage(reg, p.Trace, "demod")
-	incs := dsp.Discriminate(sig)
-	pattern := syncPattern()
-
-	// Symbol-timing search: hard-correlate at every sampling phase
-	// within the correlator's error budget, then rank qualifying
-	// candidates by soft correlation so that only the phase with a
-	// fully open eye wins (see ble.PHY.DemodulateFrame for the failure
-	// modes either criterion alone has).
-	bestPhase, bestPos, bestErrs := -1, 0, 0
-	var bestScore float64
-	for phase := 0; phase < sps; phase++ {
-		sums := dsp.IntegrateSymbols(incs, phase, sps)
-		bits := dsp.SliceBits(sums)
-		pos, errs, ok := dsp.FindPattern(bits, pattern, p.MaxSyncErrors)
-		if !ok {
-			continue
-		}
-		score, ok := dsp.SoftScore(sums, pattern, pos)
-		if !ok {
-			continue
-		}
-		if bestPhase < 0 || score > bestScore {
-			bestPhase, bestPos, bestErrs, bestScore = phase, pos, errs, score
-		}
-	}
-	if bestPhase < 0 {
-		endDemod()
-		reg.Counter("wazabee_sync_failures_total", "decoder", "oqpsk").Inc()
-		return nil, st, ErrNoSync
-	}
-	reg.Histogram("wazabee_aa_pattern_errors", obs.LinearBuckets(0, 1, 9), "decoder", "oqpsk").
-		Observe(float64(bestErrs))
-	st.Synced = true
-	st.SyncErrors = bestErrs
-	st.SyncCorr = bestScore / (float64(len(pattern)) * math.Pi / 2)
-
-	sums := dsp.IntegrateSymbols(incs, bestPhase, sps)
-
-	// CFO estimation over the sync window: the expected accumulation per
-	// chip period is ±π/2; the mean residual is the CFO-induced bias.
-	var bias float64
-	for i, want := range pattern {
-		expected := math.Pi / 2
-		if want == 0 {
-			expected = -expected
-		}
-		bias += sums[bestPos+i] - expected
-	}
-	bias /= float64(len(pattern))
-	st.CFOHz = link.CFOFromBias(bias, ChipRate)
-
-	bits := make(bitstream.Bits, len(sums))
-	for i, s := range sums {
-		if s-bias > 0 {
-			bits[i] = 1
-		}
-	}
-
-	endDemod()
-	endDespread := obs.Stage(reg, p.Trace, "despread")
-	dem, err := DecodePPDUFromTransitions(bits, bestPos)
-	endDespread()
-	if err != nil {
-		reg.Counter("wazabee_despread_failures_total", "decoder", "oqpsk").Inc()
-		// Mid-frame abort: the frame span is unknown, so only the
-		// sync-stage evidence is reportable.
-		return nil, st, err
-	}
-	st.WorstChipDistance = dem.WorstChipDistance
-	st.ChipErrors = dem.TotalChipDistance
-	st.ChipsCompared = dem.SymbolCount * (ChipsPerSymbol - 1)
-	st.DistHist = dem.ChipDistHist
-	frameStart := bestPhase + bestPos*sps
-	frameEnd := frameStart + dem.TransitionSpan*sps
-	if rssi, noise, snr, ok := link.Measure(sig, frameStart, frameEnd, sps); ok {
-		st.RSSIdBFS, st.NoisedBFS, st.SNRdB, st.SNRValid = rssi, noise, snr, true
-	} else {
-		st.RSSIdBFS = rssi
-	}
-	reg.Histogram("wazabee_worst_chip_distance", obs.DistanceBuckets, "decoder", "oqpsk").
-		Observe(float64(dem.WorstChipDistance))
-	if p.MaxChipDistance > 0 && dem.WorstChipDistance > p.MaxChipDistance {
-		reg.Counter("wazabee_quality_gate_drops_total", "decoder", "oqpsk").Inc()
-		st.Gated = true
-		return nil, st, ErrNoSync
-	}
-	st.Decoded = true
-	dem.SyncErrors = bestErrs
-	dem.SampleOffset = bestPhase
-	dem.CFOBias = bias
-	dem.SyncCorr = st.SyncCorr
-	dem.Link = st
-
-	// Modulation fingerprint: RMS deviation of the CFO-compensated
-	// per-chip phase steps from ±π/2 over the decoded frame span.
-	var dev float64
-	n := 0
-	for i := bestPos; i < bestPos+dem.TransitionSpan && i < len(sums); i++ {
-		v := sums[i] - bias
-		d := v - math.Pi/2
-		if v < 0 {
-			d = v + math.Pi/2
-		}
-		dev += d * d
-		n++
-	}
-	if n > 0 {
-		dem.SoftEVM = math.Sqrt(dev / float64(n))
-	}
-	reg.Counter("wazabee_frames_received_total", "decoder", "oqpsk").Inc()
-	result := "pass"
-	st.FCSOK = bitstream.CheckFCS(dem.PPDU.PSDU)
-	if !st.FCSOK {
-		result = "fail"
-	}
-	reg.Counter("wazabee_crc_checks_total", "decoder", "oqpsk", "result", result).Inc()
-	return dem, st, nil
-}
-
-// DecodePPDUFromTransitions walks a hard-decision MSK transition stream
-// starting at the beginning of a preamble symbol, locates the SFD and
-// decodes the PPDU by minimum-distance despreading of 31-transition
-// blocks (one boundary transition between blocks is skipped). pos indexes
-// the transition effected by chip 1 of a preamble symbol — the position a
-// correlator locks to.
 //
-// Both the legitimate O-QPSK receiver and the WazaBee BLE receiver reduce
-// to this decoder; that shared structure is the equivalence the paper
-// demonstrates.
-func DecodePPDUFromTransitions(bits bitstream.Bits, pos int) (*Demodulated, error) {
-	symbolAt := func(n int) (sym, dist int, ok bool) {
-		start := pos + n*ChipsPerSymbol
-		if start+ChipsPerSymbol-1 > len(bits) {
-			return 0, 0, false
-		}
-		block := bits[start : start+ChipsPerSymbol-1]
-		s, d, err := closestSymbolByTransitions(block)
-		if err != nil {
-			return 0, 0, false
-		}
-		return s, d, true
-	}
-
-	// Scan for the SFD symbol pair (0x7 then 0xA, low nibble first)
-	// within the window the preamble length allows.
-	const maxPreambleSymbols = PreambleLength*SymbolsPerByte + 2
-	sfdAt := -1
-	for n := 0; n < maxPreambleSymbols; n++ {
-		s1, _, ok1 := symbolAt(n)
-		s2, _, ok2 := symbolAt(n + 1)
-		if !ok1 || !ok2 {
-			return nil, ErrNoSync
-		}
-		if s1 == int(SFD&0x0f) && s2 == int(SFD>>4) {
-			sfdAt = n
-			break
-		}
-	}
-	if sfdAt < 0 {
-		return nil, ErrNoSync
-	}
-
-	worst, total, count := 0, 0, 0
-	var hist [17]uint32
-	record := func(d int) {
-		if d > worst {
-			worst = d
-		}
-		total += d
-		count++
-		if d > 16 {
-			d = 16
-		}
-		hist[d]++
-	}
-	readByte := func(n int) (byte, bool) {
-		lo, d1, ok1 := symbolAt(n)
-		hi, d2, ok2 := symbolAt(n + 1)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		record(d1)
-		record(d2)
-		return byte(lo) | byte(hi)<<4, true
-	}
-
-	phr, ok := readByte(sfdAt + 2)
-	if !ok || int(phr) > MaxPSDULength {
-		return nil, ErrNoSync
-	}
-	psdu := make([]byte, 0, phr)
-	for i := 0; i < int(phr); i++ {
-		b, ok := readByte(sfdAt + 4 + 2*i)
-		if !ok {
-			return nil, ErrNoSync
-		}
-		psdu = append(psdu, b)
-	}
-	ppdu, err := NewPPDU(psdu)
-	if err != nil {
-		return nil, err
-	}
-	return &Demodulated{
-		PPDU:              ppdu,
-		WorstChipDistance: worst,
-		TotalChipDistance: total,
-		SymbolCount:       count,
-		ChipDistHist:      hist,
-		TransitionSpan:    (sfdAt + 4 + 2*int(phr)) * ChipsPerSymbol,
-	}, nil
-}
-
-// MeanChipDistance returns the average per-symbol despreading distance,
-// or zero for an empty frame.
-func (d *Demodulated) MeanChipDistance() float64 {
-	if d.SymbolCount == 0 {
-		return 0
-	}
-	return float64(d.TotalChipDistance) / float64(d.SymbolCount)
+// It is one Push and one Flush of a fresh RxStream holding pooled
+// buffers, so concurrent calls on one PHY are safe.
+func (p *PHY) DemodulateStats(sig dsp.IQ) (*Demodulated, *link.Stats, error) {
+	s := p.stream()
+	defer s.Close()
+	s.Push(sig)
+	return s.Flush()
 }
 
 // transitionTable caches the 31-bit MSK transition encoding of each PN
@@ -422,26 +191,6 @@ func buildTransitionTable() [16]bitstream.Bits {
 		out[s] = ChipTransitions(pnTable[s])
 	}
 	return out
-}
-
-// closestSymbolByTransitions despreads a 31-bit transition block by
-// minimum Hamming distance over the 16 MSK-encoded PN sequences.
-func closestSymbolByTransitions(block bitstream.Bits) (symbol, distance int, err error) {
-	if len(block) != ChipsPerSymbol-1 {
-		return 0, 0, fmt.Errorf("ieee802154: transition block length %d, want %d", len(block), ChipsPerSymbol-1)
-	}
-	bestSym, bestDist := 0, ChipsPerSymbol
-	for s := 0; s < 16; s++ {
-		d, derr := bitstream.HammingDistance(block, transitionTable[s])
-		if derr != nil {
-			return 0, 0, derr
-		}
-		if d < bestDist {
-			bestDist = d
-			bestSym = s
-		}
-	}
-	return bestSym, bestDist, nil
 }
 
 // TransitionAlphabet returns a copy of the 31-bit MSK transition encoding

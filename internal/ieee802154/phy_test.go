@@ -274,7 +274,7 @@ func TestDemodulateBitErrorResilience(t *testing.T) {
 func TestSyncPatternBalance(t *testing.T) {
 	// The preamble correlation pattern must not be degenerate (all
 	// zeros/ones), or silence would false-trigger the correlator.
-	pat := syncPattern()
+	pat := oqpskSyncPattern
 	ones := 0
 	for _, b := range pat {
 		ones += int(b)

@@ -4,24 +4,23 @@ import (
 	"wazabee/internal/bitstream"
 )
 
-// TransitionDespreader is the streaming form of
-// DecodePPDUFromTransitions: the despreading + frame-assembly stage of
-// the stage-composable receive pipeline. It is fed the CFO-corrected
-// hard-decision transition stream starting at the synchronisation
-// position (pos 0 = the transition a correlator locks to) and consumes
-// 31-transition symbol blocks incrementally — SFD search, PHR, then
-// PSDU bytes — carrying its cursor across chunk boundaries so arbitrary
-// feed granularity produces the identical Demodulated a whole-capture
-// decode would.
+// TransitionDespreader is the despreading + frame-assembly stage of the
+// MSK receiver (RxStream). It is fed the CFO-corrected hard-decision
+// transition stream starting at the synchronisation position (pos 0 =
+// the transition effected by chip 1 of a preamble symbol, where the
+// correlator locks) and despreads 31-transition blocks by minimum
+// Hamming distance over the 16 MSK-encoded PN sequences, skipping the
+// boundary transition between blocks — SFD search, PHR, then PSDU bytes.
+// Its cursor carries across chunk boundaries, so any feed granularity
+// produces the Demodulated of one whole-stream feed.
 //
 // Feed is resumable: call it again with the (longer) bit stream after
 // more data arrives. It returns
 //
 //   - (nil, false, nil) when more transitions are needed,
 //   - (dem, true, nil) once the frame is complete,
-//   - (nil, false, err) on a permanent abort (SFD not inside the
-//     preamble window, oversized PHR, invalid PSDU) — exactly the error
-//     the one-shot decoder returns.
+//   - (nil, false, ErrNoSync) on a permanent abort: the SFD is not
+//     inside the preamble window, or the PHR exceeds MaxPSDULength.
 type TransitionDespreader struct {
 	// searched is the next preamble offset to test for the SFD.
 	searched int
@@ -63,22 +62,25 @@ func (d *TransitionDespreader) Reset() {
 	d.done = false
 }
 
-// symbolAt despreads the n-th 31-transition block of bits, mirroring
-// the symbolAt closure of DecodePPDUFromTransitions (pos fixed at 0).
+// symbolAt despreads the n-th 31-transition block of bits.
 func (d *TransitionDespreader) symbolAt(bits bitstream.Bits, n int) (sym, dist int, ok bool) {
 	start := n * ChipsPerSymbol
 	if start+ChipsPerSymbol-1 > len(bits) {
 		return 0, 0, false
 	}
-	s, dd, err := closestSymbolByTransitions(bits[start : start+ChipsPerSymbol-1])
-	if err != nil {
-		return 0, 0, false
+	block := bits[start : start+ChipsPerSymbol-1]
+	sym, dist = 0, ChipsPerSymbol
+	for s := range transitionTable {
+		// Both are 31 transitions long, so HammingDistance cannot fail.
+		if dd, _ := bitstream.HammingDistance(block, transitionTable[s]); dd < dist {
+			sym, dist = s, dd
+		}
 	}
-	return s, dd, true
+	return sym, dist, true
 }
 
 // record folds one symbol's despreading distance into the quality
-// evidence, identically to the one-shot decoder.
+// evidence.
 func (d *TransitionDespreader) record(dist int) {
 	if dist > d.worst {
 		d.worst = dist
@@ -153,14 +155,9 @@ func (d *TransitionDespreader) Feed(bits bitstream.Bits) (*Demodulated, bool, er
 		d.nextByte++
 	}
 
-	ppdu, err := NewPPDU(append([]byte(nil), d.psdu...))
-	if err != nil {
-		d.failed = err
-		return nil, false, d.failed
-	}
 	d.done = true
 	return &Demodulated{
-		PPDU:              ppdu,
+		PPDU:              &PPDU{PSDU: append(make([]byte, 0, len(d.psdu)), d.psdu...)},
 		WorstChipDistance: d.worst,
 		TotalChipDistance: d.total,
 		SymbolCount:       d.count,
@@ -169,10 +166,10 @@ func (d *TransitionDespreader) Feed(bits bitstream.Bits) (*Demodulated, bool, er
 	}, true, nil
 }
 
-// Conclude converts a mid-frame state into the error the one-shot
-// decoder reports for a truncated capture: ErrNoSync when the stream
-// ended before the frame completed, or the recorded permanent failure.
-// It returns nil when the frame had completed.
+// Conclude converts a mid-frame state into the verdict of a truncated
+// capture: ErrNoSync when the stream ended before the frame completed,
+// or the recorded permanent failure. It returns nil when the frame had
+// completed.
 func (d *TransitionDespreader) Conclude() error {
 	if d.done {
 		return nil

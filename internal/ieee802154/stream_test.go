@@ -40,112 +40,152 @@ func feedInChunks(d *TransitionDespreader, bits bitstream.Bits, chunk int) (*Dem
 	}
 }
 
-// TestTransitionDespreaderMatchesOneShot: for every feed granularity,
-// the streaming despreader must produce the identical Demodulated (or
-// identical error) as DecodePPDUFromTransitions.
+// sameEvidence reports whether two decodes carry the identical PSDU and
+// despreading evidence.
+func sameEvidence(a, b *Demodulated) bool {
+	return bytes.Equal(a.PPDU.PSDU, b.PPDU.PSDU) &&
+		a.WorstChipDistance == b.WorstChipDistance &&
+		a.TotalChipDistance == b.TotalChipDistance &&
+		a.SymbolCount == b.SymbolCount &&
+		a.ChipDistHist == b.ChipDistHist &&
+		a.TransitionSpan == b.TransitionSpan
+}
+
+// TestTransitionDespreaderMatchesOneShot: a clean frame despreads to its
+// PSDU at distance zero — 2·(1+9) PHR/PSDU symbols after an 8-symbol
+// preamble and the SFD, spanning (8+4+2·9)·32 transitions — and every
+// feed granularity reproduces the one-shot (whole-stream) feed exactly.
 func TestTransitionDespreaderMatchesOneShot(t *testing.T) {
 	psdu := []byte{0x41, 0x88, 0x2a, 0x34, 0x12, 0xff, 0x0f, 0x42, 0x99}
 	bits := frameTransitions(t, psdu)
 
-	want, wantErr := DecodePPDUFromTransitions(bits, 0)
-	if wantErr != nil {
-		t.Fatal(wantErr)
+	want, err := feedInChunks(NewTransitionDespreader(), bits, len(bits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.PPDU.PSDU, psdu) {
+		t.Fatalf("PSDU % x, want % x", want.PPDU.PSDU, psdu)
+	}
+	const symbols = 2 * (1 + 9)
+	if want.WorstChipDistance != 0 || want.TotalChipDistance != 0 || want.SymbolCount != symbols ||
+		want.ChipDistHist != [17]uint32{0: symbols} || want.TransitionSpan != (8+4+2*9)*ChipsPerSymbol {
+		t.Fatalf("clean evidence %+v", want)
 	}
 
-	for _, chunk := range []int{1, 7, 30, 31, 32, 63, 500, len(bits)} {
-		d := NewTransitionDespreader()
-		got, err := feedInChunks(d, bits, chunk)
+	for _, chunk := range []int{1, 7, 30, 31, 32, 63, 500} {
+		got, err := feedInChunks(NewTransitionDespreader(), bits, chunk)
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		if !bytes.Equal(got.PPDU.PSDU, want.PPDU.PSDU) {
-			t.Fatalf("chunk=%d: PSDU % x, want % x", chunk, got.PPDU.PSDU, want.PPDU.PSDU)
-		}
-		if got.WorstChipDistance != want.WorstChipDistance ||
-			got.TotalChipDistance != want.TotalChipDistance ||
-			got.SymbolCount != want.SymbolCount ||
-			got.ChipDistHist != want.ChipDistHist ||
-			got.TransitionSpan != want.TransitionSpan {
-			t.Fatalf("chunk=%d: evidence %+v, want %+v", chunk, got, want)
+		if !sameEvidence(got, want) {
+			t.Fatalf("chunk=%d: evidence %+v, whole stream %+v", chunk, got, want)
 		}
 	}
 }
 
-// TestTransitionDespreaderCorruptedParity: with chip errors injected,
-// the streaming and one-shot decoders must still agree — including the
-// per-symbol distance histogram.
+// TestTransitionDespreaderCorruptedParity: chip errors flipped into the
+// PHR/PSDU blocks (at most three per 31-transition block, well inside
+// the alphabet's correction radius) still decode the PSDU, and the
+// distances equal the flips counted per block — the boundary transition
+// between blocks is skipped and counts nothing. Random corruption
+// anywhere, including the preamble and SFD, must give every chunked
+// feed the whole-stream verdict.
 func TestTransitionDespreaderCorruptedParity(t *testing.T) {
 	psdu := []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}
 	base := frameTransitions(t, psdu)
+	const firstBlock = 8 + 2 // preamble and SFD symbols
+	blocks := 2 * (1 + len(psdu))
 	rnd := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		bits := bitstream.Clone(base)
-		for i := 0; i < 12; i++ {
+		var hist [17]uint32
+		worst, total := 0, 0
+		for n := 0; n < blocks; n++ {
+			start := (firstBlock + n) * ChipsPerSymbol
+			flipped := map[int]bool{}
+			for k := rnd.Intn(4); k > 0; k-- {
+				if i := rnd.Intn(ChipsPerSymbol); start+i < len(bits) {
+					flipped[i] = true
+				}
+			}
+			d := 0
+			for i := range flipped {
+				bits[start+i] ^= 1
+				if i < ChipsPerSymbol-1 {
+					d++
+				}
+			}
+			hist[d]++
+			total += d
+			if d > worst {
+				worst = d
+			}
+		}
+		want, err := feedInChunks(NewTransitionDespreader(), bits, len(bits))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !bytes.Equal(want.PPDU.PSDU, psdu) || want.WorstChipDistance != worst ||
+			want.TotalChipDistance != total || want.SymbolCount != blocks || want.ChipDistHist != hist {
+			t.Fatalf("trial %d: evidence %+v, want worst %d total %d hist %v", trial, want, worst, total, hist)
+		}
+		got, err := feedInChunks(NewTransitionDespreader(), bits, 1+rnd.Intn(97))
+		if err != nil || !sameEvidence(got, want) {
+			t.Fatalf("trial %d: chunked %+v (%v), whole stream %+v", trial, got, err, want)
+		}
+	}
+
+	for trial := 0; trial < 20; trial++ {
+		bits := bitstream.Clone(base)
+		for i := 0; i < 12+trial; i++ {
 			bits[rnd.Intn(len(bits))] ^= 1
 		}
-		want, wantErr := DecodePPDUFromTransitions(bits, 0)
-
-		d := NewTransitionDespreader()
-		got, err := feedInChunks(d, bits, 1+rnd.Intn(97))
-
-		if (wantErr == nil) != (err == nil) {
-			t.Fatalf("trial %d: streaming err %v, one-shot err %v", trial, err, wantErr)
+		want, wantErr := feedInChunks(NewTransitionDespreader(), bits, len(bits))
+		got, err := feedInChunks(NewTransitionDespreader(), bits, 1+rnd.Intn(97))
+		if !errors.Is(err, wantErr) || (wantErr == nil) != (err == nil) {
+			t.Fatalf("trial %d: chunked err %v, whole stream err %v", trial, err, wantErr)
 		}
-		if wantErr != nil {
-			if err.Error() != wantErr.Error() {
-				t.Fatalf("trial %d: error %q, want %q", trial, err, wantErr)
-			}
-			continue
-		}
-		if !bytes.Equal(got.PPDU.PSDU, want.PPDU.PSDU) || got.ChipDistHist != want.ChipDistHist ||
-			got.WorstChipDistance != want.WorstChipDistance || got.TransitionSpan != want.TransitionSpan {
-			t.Fatalf("trial %d: streaming %+v, one-shot %+v", trial, got, want)
+		if wantErr == nil && !sameEvidence(got, want) {
+			t.Fatalf("trial %d: chunked %+v, whole stream %+v", trial, got, want)
 		}
 	}
 }
 
-// TestTransitionDespreaderTruncation: a stream that ends mid-frame must
-// conclude with the one-shot decoder's truncation verdict (ErrNoSync),
-// and a stream with no SFD must abort permanently.
+// TestTransitionDespreaderTruncation: a stream that ends mid-frame
+// concludes ErrNoSync at every feed granularity, a stream with no SFD
+// inside the preamble window aborts permanently with ErrNoSync, and
+// Reset makes the despreader decode again.
 func TestTransitionDespreaderTruncation(t *testing.T) {
 	psdu := []byte{1, 2, 3, 4}
 	bits := frameTransitions(t, psdu)
 
 	truncated := bits[:len(bits)/2]
-	wantDem, wantErr := DecodePPDUFromTransitions(truncated, 0)
-	if wantErr == nil || wantDem != nil {
-		t.Fatal("truncated reference decode unexpectedly succeeded")
-	}
-	d := NewTransitionDespreader()
-	if dem, err := feedInChunks(d, truncated, 13); err == nil || dem != nil {
-		t.Fatal("truncated streaming decode unexpectedly succeeded")
-	} else if err.Error() != wantErr.Error() {
-		t.Fatalf("truncation error %q, want %q", err, wantErr)
+	for _, chunk := range []int{13, len(truncated)} {
+		if dem, err := feedInChunks(NewTransitionDespreader(), truncated, chunk); err != ErrNoSync || dem != nil {
+			t.Fatalf("chunk=%d: truncated decode = (%v, %v), want ErrNoSync", chunk, dem, err)
+		}
 	}
 
 	// All-zero transitions: the SFD never appears inside the preamble
-	// window — the permanent abort must match one-shot and persist.
+	// window — the abort is permanent.
 	junk := make(bitstream.Bits, 4096)
-	_, wantErr = DecodePPDUFromTransitions(junk, 0)
-	if wantErr == nil {
-		t.Fatal("reference decode of zero transitions succeeded")
+	for _, chunk := range []int{64, len(junk)} {
+		if _, err := feedInChunks(NewTransitionDespreader(), junk, chunk); err != ErrNoSync {
+			t.Fatalf("chunk=%d: no-SFD error %v, want ErrNoSync", chunk, err)
+		}
 	}
-	d = NewTransitionDespreader()
-	_, err := feedInChunks(d, junk, 64)
-	if err == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("no-SFD error %q, want %q", err, wantErr)
+	d := NewTransitionDespreader()
+	if _, err := feedInChunks(d, junk, 64); err != ErrNoSync {
+		t.Fatalf("no-SFD error %v, want ErrNoSync", err)
 	}
-	if !errors.Is(err, ErrNoSync) {
-		t.Errorf("no-SFD error %v does not wrap ErrNoSync", err)
-	}
-	if _, _, ferr := d.Feed(junk); ferr == nil {
-		t.Error("despreader recovered from a permanent abort without Reset")
+	if _, _, ferr := d.Feed(bits); ferr != ErrNoSync {
+		t.Errorf("despreader recovered from a permanent abort without Reset: %v", ferr)
 	}
 
 	// Reset must make it decode again.
 	d.Reset()
-	if dem, err := feedInChunks(d, bits, 1000); err != nil || dem == nil {
-		t.Fatalf("decode after Reset failed: %v", err)
+	if dem, err := feedInChunks(d, bits, 1000); err != nil || !bytes.Equal(dem.PPDU.PSDU, psdu) {
+		t.Fatalf("decode after Reset = (%v, %v)", dem, err)
 	}
 }
 
